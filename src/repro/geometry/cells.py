@@ -3,8 +3,9 @@
 Complements :class:`~repro.geometry.grid.SpatialGrid` (incremental,
 object-keyed) with a build-once, query-many structure: all points are
 linearized into cells of side ``cell_size`` and sorted by cell key, so a
-radius-bounded *candidate* query is nine ``searchsorted`` slices instead
-of a scan over N points.  Callers apply their own exact distance filter
+radius-bounded *candidate* query is three ``searchsorted`` slices (one
+per column of its 3x3 cell neighborhood) instead of a scan over N
+points.  Callers apply their own exact distance filter
 on the candidates — the index promises a superset, never membership, so
 swapping it in for a linear scan cannot change float-level results.
 
@@ -19,9 +20,9 @@ from typing import Tuple
 
 import numpy as np
 
-#: cell-neighborhood offsets covering a radius <= cell_size query disc
-_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
-                    dtype=np.int64)
+#: cell-column offsets of the 3x3 neighborhood covering a radius <=
+#: cell_size query disc
+_COLUMN_OFFSETS = np.array((-1, 0, 1), dtype=np.int64)
 
 
 def _gather_slices(order: np.ndarray, starts: np.ndarray,
@@ -56,39 +57,41 @@ class CellBuckets:
     def __init__(self, xs: np.ndarray, ys: np.ndarray, cell_size: float):
         if cell_size <= 0.0:
             raise ValueError("cell_size must be positive")
-        self.cell_size = float(cell_size)
+        # Cells a hair wider than asked: two points whose float-rounded
+        # distance is <= cell_size can be a few ulps farther apart in
+        # exact arithmetic, and must still fall in adjacent cells.
+        self.cell_size = float(cell_size) * (1.0 + 1e-12)
         self.n = int(xs.shape[0])
-        ix = np.floor_divide(xs, cell_size).astype(np.int64)
-        iy = np.floor_divide(ys, cell_size).astype(np.int64)
+        ix = np.floor_divide(xs, self.cell_size).astype(np.int64)
+        iy = np.floor_divide(ys, self.cell_size).astype(np.int64)
         if self.n:
             # Leave a one-cell apron so neighborhood keys of boundary
             # queries stay inside the linearized key range.
             self._ix0 = int(ix.min()) - 1
             self._iy0 = int(iy.min()) - 1
             self._stride = int(iy.max()) - self._iy0 + 2
-            self._max_key = (int(ix.max()) - self._ix0 + 1) * self._stride
         else:
             self._ix0 = self._iy0 = 0
             self._stride = 1
-            self._max_key = 0
         keys = (ix - self._ix0) * self._stride + (iy - self._iy0)
         # Stable sort: within one cell, points keep ascending index order,
         # which downstream consumers rely on for deterministic ordering.
         self.order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.order]
 
-    def _query_keys(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
-        """(B, 9) linearized neighborhood keys; out-of-range cells get a
-        key past the end so their searchsorted slice is empty."""
+    def _query_strips(self, qx: np.ndarray,
+                      qy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(B, 3) linearized key ranges [lo, hi) of each query's 3x3
+        neighborhood, one per cell column: a column's three cells have
+        consecutive keys.  Rows are clipped to the key layout; columns
+        outside it fall below or above every point key, so their
+        searchsorted slice is empty."""
         qix = np.floor_divide(qx, self.cell_size).astype(np.int64) - self._ix0
         qiy = np.floor_divide(qy, self.cell_size).astype(np.int64) - self._iy0
-        cx = qix[:, None] + _OFFSETS[:, 0][None, :]
-        cy = qiy[:, None] + _OFFSETS[:, 1][None, :]
-        keys = cx * self._stride + cy
-        bad = (cx < 0) | (cy < 0) | (cy >= self._stride) \
-            | (keys > self._max_key)
-        keys[bad] = self._max_key + 1
-        return keys
+        col = (qix[:, None] + _COLUMN_OFFSETS[None, :]) * self._stride
+        lo = col + np.clip(qiy - 1, 0, self._stride)[:, None]
+        hi = col + np.clip(qiy + 2, 0, self._stride)[:, None]
+        return lo, hi
 
     def pair_candidates(self, qx: np.ndarray,
                         qy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,12 +105,14 @@ class CellBuckets:
         if B == 0 or self.n == 0:
             empty = np.empty(0, dtype=np.intp)
             return empty, empty
-        keys = self._query_keys(qx, qy).ravel()
-        starts = np.searchsorted(self.sorted_keys, keys, side="left")
-        ends = np.searchsorted(self.sorted_keys, keys + 1, side="left")
+        lo, hi = self._query_strips(qx, qy)
+        starts = np.searchsorted(self.sorted_keys, lo.ravel(), side="left")
+        ends = np.searchsorted(self.sorted_keys, hi.ravel(), side="left")
         owner, cols = _gather_slices(self.order, starts, ends)
-        rows = owner // 9
-        sel = np.lexsort((cols, rows))
+        rows = owner // len(_COLUMN_OFFSETS)
+        # A point lies in one cell of a row's neighborhood, so the
+        # composite key is unique and an unstable sort is exact.
+        sel = np.argsort(rows * self.n + cols)
         return rows[sel], cols[sel]
 
     def candidates_of(self, x: float, y: float) -> np.ndarray:

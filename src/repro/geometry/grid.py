@@ -217,32 +217,39 @@ class SpatialGrid:
                 raise KeyError("spatial grid holds no eligible entries")
             return self._col_keys[i].item() if hasattr(
                 self._col_keys[i], "item") else self._col_keys[i]
+        self._materialize()
         exclude = exclude or set()
+        cells = self._cells
+        positions = self._positions
+        ccx, ccy = self._cell_of(center)
+        # Rank (distance_sq, cx, cy): the closest key wins; among equal
+        # distances the first in (cx, cy) cell order, then bucket order.
+        best = (math.inf, 0, 0)
         best_key: Hashable = None
-        best_d = math.inf
-        ring = 1
-        # Expand until a hit is found whose distance is certainly minimal
-        # (i.e. smaller than the nearest possible point of the next ring).
-        max_ring_needed = None
+        ring = 0
         while True:
-            radius = ring * self.cell_size
-            for key in self.within(center, radius):
-                if key in exclude:
+            # Once the rings span as many cells as the grid occupies,
+            # scan the occupied cells instead and stop: the search never
+            # looks up more than twice the occupied cells.
+            everything = (2 * ring + 1) ** 2 >= len(cells)
+            for cell in (sorted(cells) if everything
+                         else _ring_cells(ccx, ccy, ring)):
+                bucket = cells.get(cell)
+                if not bucket:
                     continue
-                d = self._positions[key].distance_sq_to(center)
-                if d < best_d:
-                    best_d = d
-                    best_key = key
-            if best_key is not None:
-                if max_ring_needed is None:
-                    # The found point guarantees the answer lies within
-                    # best distance; one more bounded pass suffices.
-                    max_ring_needed = math.ceil(
-                        math.sqrt(best_d) / self.cell_size) + 1
-                if ring >= max_ring_needed:
-                    return best_key
-            if best_key is None and radius > self._max_extent(center):
-                raise KeyError("spatial grid holds no eligible entries")
+                for key in bucket:
+                    if key in exclude:
+                        continue
+                    rank = (positions[key].distance_sq_to(center),) + cell
+                    if rank < best:
+                        best, best_key = rank, key
+            # Cells beyond ring r lie at least (r - 1) cells away even
+            # with rounding at cell borders.
+            reach = max(ring - 1, 0) * self.cell_size
+            if everything or best[0] < reach * reach:
+                if best_key is None:
+                    raise KeyError("spatial grid holds no eligible entries")
+                return best_key
             ring += 1
 
     def knn(self, center: Vec2, k: int,
@@ -292,3 +299,18 @@ class SpatialGrid:
     def items(self) -> List[Tuple[Hashable, Vec2]]:
         self._materialize()
         return list(self._positions.items())
+
+
+def _ring_cells(cx: int, cy: int, ring: int) -> Iterator[_Cell]:
+    """Cells at Chebyshev distance exactly ``ring`` from (cx, cy), in
+    (x, y) order."""
+    if ring == 0:
+        yield (cx, cy)
+        return
+    for x in range(cx - ring, cx + ring + 1):
+        if x in (cx - ring, cx + ring):
+            for y in range(cy - ring, cy + ring + 1):
+                yield (x, y)
+        else:
+            yield (x, cy - ring)
+            yield (x, cy + ring)

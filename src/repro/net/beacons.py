@@ -21,7 +21,7 @@ not depend on what triggered it.
 
 Scaling note: up to ``_DENSE_MAX`` nodes the neighbor store is a dense
 (N, N) float64 block and receiver sets come from full pairwise-distance
-rows; above it the store switches to the log-structured
+rows; above it the store switches to the sorted, in-place-updated
 :class:`~repro.net.neighbor_store.SparseNeighborStore` and receiver
 candidates come from a :class:`~repro.geometry.CellBuckets` spatial
 index over the position snapshot — same filter arithmetic per surviving
@@ -215,7 +215,7 @@ class BatchedBeaconEngine:
         self._snap_full = bool(self.snap_alive.all())
         self._snap_dirty = False
         # Neighbor store: row = hearer, col = neighbor.  Dense matrices
-        # up to _DENSE_MAX nodes, log-structured sparse above (the store
+        # up to _DENSE_MAX nodes, sparse above (the store
         # type is fixed at construction; late grow() keeps it).
         self._large = n > _DENSE_MAX
         self.store = (SparseNeighborStore(n) if self._large
@@ -1045,7 +1045,8 @@ class BatchedBeaconEngine:
         store = self.store
         if isinstance(store, SparseNeighborStore):
             # Compact once so the per-row reads below are base slices
-            # instead of N tail scans.
+            # instead of N tail scans, and the drops below tombstone
+            # base cells in place.
             store.compact()
         alive_rows = np.nonzero(self.alive_mask)[0]
         for r in alive_rows.tolist():

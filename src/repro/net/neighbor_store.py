@@ -9,14 +9,21 @@ Two interchangeable representations:
   scales but quadratic in memory (4.8 GB at N = 10k), so it is only
   used up to ``repro.net.beacons._DENSE_MAX`` nodes.
 
-* :class:`SparseNeighborStore` — an append-only columnar log of cell
-  writes with periodic keep-last compaction.  A scatter of P pairs is
-  O(P) (list append of column arrays); reads merge the compacted base
-  (sorted by (row, col), sliced by ``searchsorted``) with a vectorized
-  scan of the pending tail.  Row wipes are sequence-number watermarks,
-  cell clears are ``-inf`` tombstones.  Memory is bounded by
-  (live cells) + (compaction threshold), independent of how many
-  beacons ever fired — the O(1)-per-event discipline large fields need.
+* :class:`SparseNeighborStore` — a sorted base of cells keyed by the
+  composite int64 key ``row * n + col``, plus a write-ordered tail of
+  cells the base does not hold yet.  A scatter of P pairs sorts their
+  keys once and looks them up in the base with one ``searchsorted``:
+  cells already there (nearly every beacon refresh) are overwritten in
+  place, and only new cells are appended to the tail.  Once the tail
+  holds more than ``compact_limit`` writes, compaction de-duplicates it
+  (keep-last) and merges it into the base at ``searchsorted`` insertion
+  points, O(base + tail) with no re-sort.  Reads slice the base by key
+  range and scan the tail.  Row wipes are sequence-number watermarks,
+  cell clears are ``-inf`` tombstones; both are dropped at compaction.
+  Per beacon epoch the cost is O(P log base) for the lookups plus the
+  new cells' share of a merge, not a rewrite of the table; memory is
+  bounded by (live cells) + (compaction threshold), however many
+  beacons ever fired.
 
 Both expose the same surface; equivalence is proven by forcing the
 sparse store at small N against the dense results
@@ -26,7 +33,7 @@ sparse store at small N against the dense results
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -96,26 +103,65 @@ class DenseNeighborStore:
         self.pay[r, cols, 0] = -np.inf
 
 
+def _last_writes(keys: np.ndarray) -> np.ndarray:
+    """Index of the last occurrence of each distinct key, in ascending
+    key order.
+
+    One unstable sort groups equal keys; the largest original index in
+    a group is its last write, so no stable sort is needed.
+    """
+    if keys.size == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(keys)
+    ks = keys[order]
+    starts = np.flatnonzero(np.append(True, ks[1:] != ks[:-1]))
+    return np.maximum.reduceat(order, starts)
+
+
+#: one payload record (a row of a (k, 6) float64 array) as an opaque
+#: 48-byte item: fancy indexing moves whole records in one copy each
+_RECORD = np.dtype((np.void, 8 * len(_PAYLOAD)))
+
+
+def _records(pay: np.ndarray) -> np.ndarray:
+    """(k,) record view of a C-contiguous (k, 6) payload array."""
+    return pay.view(_RECORD).reshape(-1)
+
+
+def _resized(a: np.ndarray, cap: int, used: int) -> np.ndarray:
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
 class SparseNeighborStore:
-    """Log-structured columnar store for large N (see module docstring)."""
+    """Sorted cell base with in-place updates plus a tail of new cells
+    (see module docstring)."""
 
     def __init__(self, n: int, compact_limit: int = 0):
         self.n = n
-        # Compacted base: unique (row, col) cells sorted by (row, col),
-        # each with the log sequence number of its latest write.
-        self._b_r = np.empty(0, dtype=np.int64)
-        self._b_c = np.empty(0, dtype=np.int64)
-        self._b_seq = np.empty(0, dtype=np.int64)
-        self._b_pay = {k: np.empty(0) for k in _PAYLOAD}
-        # Pending tail: chunks of appended writes, newest last.
-        self._tail: List[tuple] = []
+        # Base: unique cells sorted by the composite key row * n + col,
+        # each with its payload record and the log sequence number of
+        # its latest write.
+        self._key = np.empty(0, dtype=np.int64)
+        self._seq = np.empty(0, dtype=np.int64)
+        self._pay = np.empty((0, len(_PAYLOAD)))
+        # Tail: writes to cells not in the base, oldest first, in
+        # growable (rows, cols, pay, seqs) buffers whose first
+        # _tail_pairs entries are in use.
+        self._tail = [np.empty(0, dtype=np.int64),
+                      np.empty(0, dtype=np.int64),
+                      np.empty((0, len(_PAYLOAD))),
+                      np.empty(0, dtype=np.int64)]
         self._tail_pairs = 0
-        self._seq = 0
+        self._next_seq = 0
         # reset_row(r) invalidates all writes to r before this watermark
         self._reset_seq = np.zeros(n, dtype=np.int64)
         self._compact_limit = compact_limit or max(100_000, 8 * n)
 
     def grow(self) -> None:
+        # r * n + c becomes r * (n + 1) + c; the key order is unchanged.
+        self._key = self._key + self._key // self.n
         self.n += 1
         self._reset_seq = np.append(self._reset_seq, 0)
 
@@ -124,16 +170,49 @@ class SparseNeighborStore:
     def scatter(self, rows: np.ndarray, cols: np.ndarray, t: np.ndarray,
                 bx: np.ndarray, by: np.ndarray, sp: np.ndarray,
                 vx: np.ndarray, vy: np.ndarray) -> None:
+        """Bulk cell update; (rows, cols) pairs must be unique.  Cells
+        already in the base are overwritten in place; the rest go to
+        the tail."""
         m = int(rows.size)
         if m == 0:
             return
-        self._tail.append((np.asarray(rows, dtype=np.int64),
-                           np.asarray(cols, dtype=np.int64),
-                           t, bx, by, sp, vx, vy, self._seq))
-        self._seq += m
-        self._tail_pairs += m
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        seq0 = self._next_seq
+        self._next_seq += m
+        pay = np.column_stack((t, bx, by, sp, vx, vy))
+        base = self._key
+        if base.size:
+            # Keys are unique, so an unstable sort is a total order, and
+            # sorted lookups walk the base front to back.
+            keys = rows * self.n + cols
+            order = np.argsort(keys)
+            keys = keys[order]
+            pos = np.searchsorted(base, keys)
+            hit = base[np.minimum(pos, base.size - 1)] == keys
+            new = order[~hit]
+            order, pos = order[hit], pos[hit]
+            _records(self._pay)[pos] = _records(pay)[order]
+            self._seq[pos] = seq0 + order
+            if not new.size:
+                return
+            rows, cols, pay = rows[new], cols[new], pay[new]
+            seqs = seq0 + new
+        else:
+            seqs = np.arange(seq0, seq0 + m, dtype=np.int64)
+        self._append_tail(rows, cols, pay, seqs)
         if self._tail_pairs > self._compact_limit:
-            self._compact()
+            self.compact()
+
+    def _append_tail(self, *parts: np.ndarray) -> None:
+        used = self._tail_pairs
+        end = used + parts[0].shape[0]
+        if end > self._tail[0].shape[0]:
+            cap = max(1024, 2 * end)
+            self._tail = [_resized(b, cap, used) for b in self._tail]
+        for buf, part in zip(self._tail, parts):
+            buf[used:end] = part
+        self._tail_pairs = end
 
     def update_cell(self, r: int, c: int, t: float, bx: float, by: float,
                     sp: float, vx: float, vy: float) -> None:
@@ -143,84 +222,80 @@ class SparseNeighborStore:
                      np.array([vx]), np.array([vy]))
 
     def clear_cell(self, r: int, c: int) -> None:
-        self.update_cell(r, c, -math.inf, 0.0, 0.0, 0.0, 0.0, 0.0)
+        self.drop_cells(r, np.array([c], dtype=np.int64))
 
     def reset_row(self, r: int) -> None:
-        self._reset_seq[r] = self._seq
+        self._reset_seq[r] = self._next_seq
+
+    def drop_cells(self, r: int, cols: np.ndarray) -> None:
+        """Tombstone row ``r``'s ``cols`` in one scatter."""
+        cols = np.asarray(cols, dtype=np.int64)
+        zero = np.zeros(cols.size)
+        self.scatter(np.full(cols.size, r, dtype=np.int64), cols,
+                     np.full(cols.size, -math.inf), zero, zero, zero,
+                     zero, zero)
 
     # -- compaction ----------------------------------------------------------
 
-    def _compact(self) -> None:
-        if not self._tail:
+    def _live(self, rows, seqs: np.ndarray, pay: np.ndarray) -> np.ndarray:
+        """Cells whose latest write survives its row's reset watermark
+        and is not a tombstone."""
+        return (seqs >= self._reset_seq[rows]) & np.isfinite(pay[:, 0])
+
+    def compact(self) -> None:
+        """Merge the de-duplicated tail into the base, dropping reset
+        and tombstoned cells: O(base + tail), no re-sort of the base.
+        Called past ``compact_limit`` tail writes, or before a sweep
+        that will read every row."""
+        used = self._tail_pairs
+        if not used:
             return
-        rr = np.concatenate(
-            [self._b_r] + [ch[0] for ch in self._tail])
-        cc = np.concatenate(
-            [self._b_c] + [ch[1] for ch in self._tail])
-        seqs = np.concatenate(
-            [self._b_seq] + [np.arange(ch[8], ch[8] + ch[0].size,
-                                       dtype=np.int64)
-                             for ch in self._tail])
-        pay = {k: np.concatenate([self._b_pay[k]]
-                                 + [ch[2 + i] for ch in self._tail])
-               for i, k in enumerate(_PAYLOAD)}
-        valid = seqs >= self._reset_seq[rr]
-        if not valid.all():
-            rr, cc, seqs = rr[valid], cc[valid], seqs[valid]
-            pay = {k: v[valid] for k, v in pay.items()}
-        order = np.lexsort((seqs, cc, rr))
-        rr, cc, seqs = rr[order], cc[order], seqs[order]
-        # Keep the last write per (row, col): entries are now grouped by
-        # cell with ascending seq, so a run's final element wins.
-        if rr.size:
-            last = np.append((rr[1:] != rr[:-1]) | (cc[1:] != cc[:-1]), True)
-        else:
-            last = np.empty(0, dtype=bool)
-        t_all = pay["t"][order]
-        keep = last & np.isfinite(t_all)  # drop resolved tombstones
-        self._b_r, self._b_c, self._b_seq = rr[keep], cc[keep], seqs[keep]
-        sel = order[keep]
-        for k in _PAYLOAD:
-            self._b_pay[k] = pay[k][sel]
-        self._tail = []
+        rows, cols, pay, seqs = (b[:used] for b in self._tail)
         self._tail_pairs = 0
+        n = self.n
+        last = _last_writes(rows * n + cols)
+        last = last[self._live(rows[last], seqs[last], pay[last])]
+        t_key = rows[last] * n + cols[last]
+        t_seq, t_pay = seqs[last], pay[last]
+        key, seq, bpay = self._key, self._seq, _records(self._pay)
+        live = self._live(key // n, seq, self._pay)
+        if not live.all():
+            key, seq, bpay = key[live], seq[live], bpay[live]
+        # Tail keys are disjoint from base keys, so each lands at its
+        # insertion point shifted by the tail keys before it.
+        at = np.searchsorted(key, t_key) + np.arange(t_key.size)
+        size = key.size + t_key.size
+        from_base = np.ones(size, dtype=bool)
+        from_base[at] = False
+        self._key = np.empty(size, dtype=np.int64)
+        self._seq = np.empty(size, dtype=np.int64)
+        self._pay = np.empty((size, len(_PAYLOAD)))
+        for out, b, t in ((self._key, key, t_key), (self._seq, seq, t_seq),
+                          (_records(self._pay), bpay, _records(t_pay))):
+            out[at] = t
+            out[from_base] = b
 
     # -- reads ---------------------------------------------------------------
 
     def _row_view(self, r: int) -> Tuple[np.ndarray, ...]:
         """Merged keep-last view of row ``r``: (cols, t, bx, by, sp, vx,
         vy), unique cols in ascending order."""
-        lo = int(np.searchsorted(self._b_r, r, side="left"))
-        hi = int(np.searchsorted(self._b_r, r, side="right"))
-        cols = [self._b_c[lo:hi]]
-        seqs = [self._b_seq[lo:hi]]
-        pay = {k: [self._b_pay[k][lo:hi]] for k in _PAYLOAD}
-        for ch in self._tail:
-            sel = np.nonzero(ch[0] == r)[0]
-            if sel.size == 0:
-                continue
-            cols.append(ch[1][sel])
-            seqs.append(ch[8] + sel)
-            for i, k in enumerate(_PAYLOAD):
-                pay[k].append(ch[2 + i][sel])
-        cc = np.concatenate(cols)
-        if cc.size == 0:
-            return (cc,) + tuple(np.empty(0) for _ in _PAYLOAD)
-        seq = np.concatenate(seqs)
-        valid = seq >= self._reset_seq[r]
-        order = np.lexsort((seq, cc))
-        order = order[valid[order]]
-        cc_o = cc[order]
-        last = np.append(cc_o[1:] != cc_o[:-1], True) \
-            if cc_o.size else np.empty(0, dtype=bool)
-        sel = order[last]
-        t = np.concatenate(pay["t"])[sel]
-        fin = np.isfinite(t)
-        sel = sel[fin]
-        out = [cc[sel], t[fin]]
-        for k in _PAYLOAD[1:]:
-            out.append(np.concatenate(pay[k])[sel])
-        return tuple(out)
+        lo, hi = np.searchsorted(self._key, (r * self.n, (r + 1) * self.n))
+        live = self._live(r, self._seq[lo:hi], self._pay[lo:hi])
+        cols = self._key[lo:hi][live] - r * self.n
+        pay = self._pay[lo:hi][live]
+        t_rows, t_cols, t_pay, t_seq = self._tail
+        sel = np.flatnonzero(t_rows[:self._tail_pairs] == r)
+        if sel.size:
+            t_cols, t_pay, t_seq = t_cols[sel], t_pay[sel], t_seq[sel]
+            last = _last_writes(t_cols)
+            last = last[self._live(r, t_seq[last], t_pay[last])]
+            # Base and tail cells are disjoint: one unique-key sort.
+            cols = np.concatenate((cols, t_cols[last]))
+            pay = np.concatenate((pay, t_pay[last]))
+            order = np.argsort(cols)
+            cols, pay = cols[order], pay[order]
+        return (cols,) + tuple(pay.T)
 
     def newer_entries(self, r: int, after: float) -> Tuple[np.ndarray, ...]:
         cols, t, bx, by, sp, vx, vy = self._row_view(r)
@@ -234,16 +309,7 @@ class SparseNeighborStore:
         cols, t = self._row_view(r)[:2]
         return cols[now - t > timeout]
 
-    def drop_cells(self, r: int, cols: np.ndarray) -> None:
-        for c in np.asarray(cols).tolist():
-            self.clear_cell(r, int(c))
-
-    def compact(self) -> None:
-        """Fold the pending tail into the base now (e.g. before a sweep
-        that will read every row)."""
-        self._compact()
-
     @property
     def cells(self) -> int:
-        """Live base cells + pending tail writes (diagnostics)."""
-        return int(self._b_r.size) + self._tail_pairs
+        """Base cells + pending tail writes (diagnostics)."""
+        return int(self._key.size) + self._tail_pairs

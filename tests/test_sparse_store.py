@@ -1,12 +1,14 @@
 """Sparse neighbor store and large-N receiver path equivalence.
 
 Above ``repro.net.beacons._DENSE_MAX`` nodes the beacon engine swaps
-the dense (N, N) store for the log-structured sparse one and resolves
-receivers through cell buckets instead of full pairwise rows.  These
-tests force that large-N machinery at *small* N (by monkeypatching the
-threshold to 0) and require bit-identical outcomes against the dense
-engine and the legacy per-event path — the same contract
-``tests/test_beacon_equivalence.py`` proves for the dense kernel.
+the dense (N, N) store for the sparse one and resolves receivers
+through cell buckets instead of full pairwise rows.  These tests force
+that large-N machinery at *small* N (by monkeypatching the threshold to
+0) and require bit-identical outcomes against the dense engine and the
+legacy per-event path — the same contract
+``tests/test_beacon_equivalence.py`` proves for the dense kernel.  The
+store itself is also checked against ``DenseNeighborStore`` directly,
+op by op.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.net.beacons as beacons
 from repro.net.neighbor_store import (DenseNeighborStore,
@@ -34,6 +38,76 @@ def _assert_rows_equal(dense, sparse, n):
         s = sparse.newer_entries(r, -math.inf)
         for a, b in zip(d, s):
             np.testing.assert_array_equal(a, b)
+
+
+#: staleness timeout of the differential's stale_cols / drop sweeps; each
+#: op advances the clock by 0.25 s, so cells go stale after 6 ops
+_TIMEOUT = 1.5
+
+_idx = st.integers(0, 7)  # taken modulo the store's current size
+_store_op = st.one_of(
+    st.tuples(st.just("scatter"),
+              st.lists(st.tuples(_idx, _idx), min_size=1, max_size=10)),
+    st.tuples(st.just("update"), _idx, _idx),
+    st.tuples(st.just("clear"), _idx, _idx),
+    st.tuples(st.just("reset"), _idx),
+    st.tuples(st.just("drop"), _idx, st.lists(_idx, max_size=5)),
+    st.tuples(st.just("sweep"), _idx),
+    st.just(("grow",)),
+    st.just(("compact",)),
+)
+
+
+def _apply(op, step, t, stores):
+    """Apply one op to every store; return the sweep's stale cols."""
+    kind, n = op[0], stores[0].n
+    if kind == "scatter":
+        cells = dict.fromkeys((r % n, c % n) for r, c in op[1])
+        rows = np.array([r for r, _ in cells], dtype=np.int64)
+        cols = np.array([c for _, c in cells], dtype=np.int64)
+        m = rows.size
+        pay = [np.full(m, t)] + [rows * 10.0 + cols + step + k
+                                 for k in range(5)]
+        for store in stores:
+            store.scatter(rows, cols, *pay)
+    elif kind == "update":
+        for store in stores:
+            store.update_cell(op[1] % n, op[2] % n, t, step, 1.0, 2.0,
+                              3.0, 4.0)
+    elif kind == "clear":
+        for store in stores:
+            store.clear_cell(op[1] % n, op[2] % n)
+    elif kind == "reset":
+        for store in stores:
+            store.reset_row(op[1] % n)
+    elif kind == "drop":
+        cols = np.unique(np.array(op[2], dtype=np.int64) % n)
+        for store in stores:
+            store.drop_cells(op[1] % n, cols)
+    elif kind == "sweep":
+        r = op[1] % n
+        stale = [store.stale_cols(r, t, _TIMEOUT) for store in stores]
+        for store, cols in zip(stores, stale):
+            store.drop_cells(r, cols)
+        return stale
+    elif kind == "grow":
+        for store in stores:
+            store.grow()
+    else:  # only the sparse store compacts
+        stores[1].compact()
+    return None
+
+
+def _assert_same_tables(dense, sparse, t):
+    assert dense.n == sparse.n
+    for r in range(dense.n):
+        for after in (-math.inf, t - 1.0):
+            d = dense.newer_entries(r, after)
+            s = sparse.newer_entries(r, after)
+            for a, b in zip(d, s):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(dense.stale_cols(r, t, _TIMEOUT),
+                                      sparse.stale_cols(r, t, _TIMEOUT))
 
 
 class TestStoreDifferential:
@@ -127,6 +201,60 @@ class TestStoreDifferential:
             sparse.scatter(rows, cols, one * epoch, one, one, one,
                            one, one)
         assert sparse.cells <= n + 500
+
+    @given(limit=st.sampled_from([1, 7, 100_000]),
+           ops=st.lists(_store_op, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    # the same cells rewritten across chunks, then folded
+    @example(limit=7, ops=[("scatter", [(0, 1), (1, 2)]),
+                           ("scatter", [(0, 1), (2, 3)]),
+                           ("update", 0, 1), ("compact",),
+                           ("scatter", [(0, 1), (1, 2)])])
+    # a row reset and rewritten, before and after a compaction
+    @example(limit=100_000, ops=[("scatter", [(1, 0), (1, 2), (2, 1)]),
+                                 ("reset", 1), ("update", 1, 3),
+                                 ("compact",), ("update", 1, 0),
+                                 ("reset", 1), ("scatter", [(1, 2)]),
+                                 ("compact",)])
+    # tombstones in base and tail: folded by a compaction, overwritten,
+    # or still pending
+    @example(limit=100_000, ops=[("scatter", [(0, 1), (0, 2), (3, 1)]),
+                                 ("compact",), ("clear", 0, 1),
+                                 ("clear", 2, 2), ("drop", 3, [1, 1]),
+                                 ("update", 3, 1), ("compact",),
+                                 ("clear", 0, 2)])
+    # growth rescales the composite key between base and tail writes
+    @example(limit=7, ops=[("scatter", [(3, 2), (2, 3), (1, 1)]),
+                           ("compact",), ("grow",), ("update", 4, 3),
+                           ("scatter", [(3, 4), (3, 2)]), ("grow",),
+                           ("compact",), ("clear", 5, 4)])
+    # stale sweeps drop cells heard long enough ago
+    @example(limit=1, ops=[("scatter", [(0, 1), (0, 2)])]
+             + [("update", 1, 0)] * 6 + [("sweep", 0), ("update", 0, 2)])
+    def test_property_matches_dense(self, limit, ops):
+        """Every row agrees after every op of an interleaved sequence."""
+        n = 4
+        dense = DenseNeighborStore(n)
+        sparse = SparseNeighborStore(n, compact_limit=limit)
+        for step, op in enumerate(ops):
+            t = 0.25 * (step + 1)
+            stale = _apply(op, step, t, (dense, sparse))
+            if stale is not None:
+                np.testing.assert_array_equal(*stale)
+            _assert_same_tables(dense, sparse, t)
+
+    def test_compaction_bounds_cells(self):
+        """Folded tombstones and reset rows leave the base."""
+        sparse = SparseNeighborStore(4, compact_limit=100_000)
+        one = np.ones(3)
+        sparse.scatter(np.array([0, 0, 1]), np.array([1, 2, 0]), one,
+                       one, one, one, one, one)
+        sparse.compact()
+        sparse.drop_cells(0, np.array([1, 2]))
+        sparse.reset_row(1)
+        sparse.update_cell(2, 3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        sparse.compact()
+        assert sparse.cells == 1
 
 
 class TestEngineSparseEquivalence:
