@@ -38,8 +38,8 @@ import numpy as np
 
 from ..geometry import CellBuckets, Vec2
 from .energy import EnergyAccount, repeated_add
-from .neighbor_store import DenseNeighborStore, SparseNeighborStore
-from .node import NeighborEntry, SensorNode
+from .neighbor_store import NeighborTable, SparseNeighborStore
+from .node import SensorNode
 
 #: jitter draws pre-drawn per refill
 _JIT_BLOCK = 32
@@ -181,11 +181,13 @@ class BatchedBeaconEngine:
         self.sim = network.sim
         self.interval = network.beacon_interval
         self.jitter = 0.05 * network.beacon_interval
-        nodes = sorted(network.nodes.values(), key=lambda n: n.id)
-        self.ids = np.array([n.id for n in nodes], dtype=np.int64)
-        self.index: Dict[int, int] = {
-            int(nid): i for i, nid in enumerate(self.ids)}
-        self.node_list: List[SensorNode] = nodes
+        # Rows follow the network's neighbor table: store, id order and
+        # id -> row index are shared, not copied.
+        self.table: NeighborTable = network._neighbor_table
+        self.ids = self.table.ids
+        self.index: Dict[int, int] = self.table.index
+        self.store = self.table.store
+        nodes = [network.nodes[nid] for nid in self.ids.tolist()]
         self.bank = MobilityBank([n.mobility for n in nodes])
         n = len(nodes)
         self.next_fire = np.full(n, np.inf)
@@ -214,21 +216,15 @@ class BatchedBeaconEngine:
         # per fire).
         self._snap_full = bool(self.snap_alive.all())
         self._snap_dirty = False
-        # Neighbor store: row = hearer, col = neighbor.  Dense matrices
-        # up to _DENSE_MAX nodes, sparse above (the store
-        # type is fixed at construction; late grow() keeps it).
-        self._large = n > _DENSE_MAX
-        self.store = (SparseNeighborStore(n) if self._large
-                      else DenseNeighborStore(n))
+        # A sparse store (above _DENSE_MAX nodes when the table was
+        # built) also switches receiver resolution to cell buckets.
+        self._large = isinstance(self.store, SparseNeighborStore)
         # CellBuckets over the position snapshot (large mode only):
         # receiver-candidate superset per sender, rebuilt per refresh.
         self._snap_cells: Optional[CellBuckets] = None
         radio_ = network.radio
         self._cell_r = (radio_.max_range_m
                         if radio_.shadowing_sigma != 0.0 else radio_.range_m)
-        self.store_rev = 0
-        self.mat_rev = np.full(n, -1, dtype=np.int64)
-        self.mat_time = np.full(n, -math.inf)
         # Pending deliveries, appended in fire order → chronological.
         # Two shapes share the list, told apart by entry[1]'s type:
         #   per-fire: (t_deliver, sender_idx:int, surv_idx, bx, by, sp,
@@ -304,14 +300,9 @@ class BatchedBeaconEngine:
             self.sim.schedule_at(t_last, lambda: self.flush(self.sim.now))
 
     def grow(self, node: SensorNode) -> None:
-        """Attach a node added after engine construction."""
-        i = len(self.ids)
-        if len(self.ids) and node.id < int(self.ids[-1]):
-            raise ValueError(
-                "batched beacon engine requires ascending node-id adds")
-        self.ids = np.append(self.ids, node.id)
-        self.index[node.id] = i
-        self.node_list.append(node)
+        """Attach a node added after engine construction (the network
+        has already given it the next neighbor-table row)."""
+        self.ids = self.table.ids
         self.bank.grow(node.mobility)
         self.next_fire = np.append(self.next_fire, np.inf)
         self._jitter_gens.append(
@@ -326,9 +317,6 @@ class BatchedBeaconEngine:
         self.snap_y = np.append(self.snap_y, 0.0)
         self.snap_alive = np.append(self.snap_alive, node.alive)
         self._snap_full = bool(self.snap_alive.all())
-        self.store.grow()
-        self.mat_rev = np.append(self.mat_rev, -1)
-        self.mat_time = np.append(self.mat_time, -math.inf)
         self._acct_touched = np.append(self._acct_touched, False)
         self._accts.append(None)
         self._def_tx = np.append(self._def_tx, 0)
@@ -667,12 +655,10 @@ class BatchedBeaconEngine:
                 net.stats.beacons_sent += 1
                 mac.count_lightweight_frame(net.BEACON_BYTES)
                 if slow_energy:
+                    # A battery may kill the sender mid-charge; its
+                    # frame still goes out (legacy charges, then proceeds).
                     ledger.charge_tx(int(self.ids[s_i]), self.bits,
                                      net.radio.range_m)
-                    if not self.alive_mask[s_i]:
-                        # Battery killed the sender mid-charge; its frame
-                        # still goes out (legacy charges, then proceeds).
-                        pass
                 else:
                     tx_counts[s_i] += 1
                     if not self._acct_touched[s_i]:
@@ -771,38 +757,17 @@ class BatchedBeaconEngine:
         if cr:
             acct.rx_j = repeated_add(acct.rx_j, rx_cost, cr)
 
-    def _alive_at(self, r: int, t: float) -> bool:
-        """Receiver liveness at delivery time ``t``, reconstructed from
-        the transitions log (delivery-time alive check, legacy parity)."""
-        state: Optional[bool] = None
-        seen_later = False
-        first_later: Optional[bool] = None
-        for (tt, i, new) in self._transitions:
-            if i != r:
-                continue
-            if tt <= t:
-                state = new
-            else:
-                if not seen_later:
-                    first_later = new
-                    seen_later = True
-        if state is not None:
-            return state
-        if seen_later:
-            # No transition at or before t, but one after: the state at t
-            # was the opposite of the first later transition's target.
-            return not first_later
-        return bool(self.alive_mask[r])
-
     def _alive_at_bulk(self, cols: np.ndarray,
                        times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_alive_at` over (receiver, time) pairs.
+        """Receiver liveness at delivery time for (receiver, time)
+        pairs, reconstructed from the transitions log (delivery-time
+        alive check, legacy parity).
 
         Nodes without transitions (almost all of them) resolve in one
         ``alive_mask`` gather; each transitioning node's pairs resolve
-        with one searchsorted against its chronological transition log
-        (same last-transition-at-or-before semantics, including the
-        opposite-of-first-later rule for times before any transition).
+        with one searchsorted against its chronological transition log:
+        the state set by the last transition at or before the time, or,
+        before any transition, the opposite of the first one's target.
         """
         out = self.alive_mask[cols].copy()
         per_node: Dict[int, tuple] = {}
@@ -981,7 +946,6 @@ class BatchedBeaconEngine:
                     BX, BY, SP = BX[keep], BY[keep], SP[keep]
                     VX, VY = VX[keep], VY[keep]
             self.store.scatter(R, S, T, BX, BY, SP, VX, VY)
-            self.store_rev += 1
         if self._transitions:
             t_min = min((p[0] for p in self.pending), default=math.inf)
             self._transitions = [tr for tr in self._transitions
@@ -989,80 +953,16 @@ class BatchedBeaconEngine:
 
     # -- reads ---------------------------------------------------------------
 
-    def sync_node_table(self, node: SensorNode) -> None:
-        """Materialize ``node``'s dict neighbor table from the store."""
-        r = self.index.get(node.id)
-        if r is None:
-            return
+    def sync_node_table(self, node: SensorNode) -> Tuple[np.ndarray, ...]:
+        """Flush, then return ``node``'s neighbor-table row."""
         self.flush(self.sim.now)
-        if self.mat_rev[r] == self.store_rev:
-            return
-        (cols, heard, bx, by, sp, vx, vy) = self.store.newer_entries(
-            r, float(self.mat_time[r]))
-        if cols.size:
-            nt = node._nt
-            ids = self.ids
-            for c, t, x, y, s, ux, uy in zip(
-                    cols.tolist(), heard.tolist(), bx.tolist(),
-                    by.tolist(), sp.tolist(), vx.tolist(), vy.tolist()):
-                pos = Vec2(x, y)
-                nt[int(ids[c])] = NeighborEntry(
-                    int(ids[c]), pos, s, t, beacon_position=pos,
-                    velocity=Vec2(ux, uy))
-            self.mat_time[r] = float(heard.max())
-        self.mat_rev[r] = self.store_rev
-
-    def note_observation(self, hearer_id: int, neighbor_id: int,
-                         time: float, position: Vec2, speed: float,
-                         velocity: Vec2) -> None:
-        """Mirror a directly observed beacon (legacy delivery path) into
-        the store so staleness sweeps see it."""
-        r = self.index.get(hearer_id)
-        c = self.index.get(neighbor_id)
-        if r is not None and c is not None:
-            self.store.update_cell(r, c, time, position.x, position.y,
-                                   speed, velocity.x, velocity.y)
-
-    def clear_cell(self, hearer_id: int, neighbor_id: int) -> None:
-        """Store-side forget (mirror of dict ``pop``)."""
-        r = self.index.get(hearer_id)
-        c = self.index.get(neighbor_id)
-        if r is not None and c is not None:
-            self.store.clear_cell(r, c)
-
-    def reset_row(self, node_id: int) -> None:
-        """Store-side table wipe (crash recovery)."""
-        r = self.index.get(node_id)
-        if r is not None:
-            self.store.reset_row(r)
-            self.mat_rev[r] = -1
-            self.mat_time[r] = -math.inf
+        return self.store.row(self.index[node.id])
 
     def sweep_evict(self, now: float, timeout: float) -> int:
-        """Proactive staleness eviction across all alive nodes."""
+        """Proactive staleness eviction across all alive rows: one
+        whole-store pass."""
         self.flush(now)
-        evicted = 0
-        store = self.store
-        if isinstance(store, SparseNeighborStore):
-            # Compact once so the per-row reads below are base slices
-            # instead of N tail scans, and the drops below tombstone
-            # base cells in place.
-            store.compact()
-        alive_rows = np.nonzero(self.alive_mask)[0]
-        for r in alive_rows.tolist():
-            node = self.node_list[r]
-            self.sync_node_table(node)
-            stale = store.stale_cols(r, now, timeout)
-            # Dict entries may exist for store cells already cleared
-            # (never the reverse after a sync), so sweep the dict too.
-            dict_stale = [nid for nid, e in node._nt.items()
-                          if now - e.heard_at > timeout]
-            if stale.size:
-                store.drop_cells(r, stale)
-            for nid in dict_stale:
-                node._nt.pop(nid, None)
-            evicted += len(dict_stale)
-        return evicted
+        return self.store.evict_stale(self.alive_mask, now, timeout)
 
     def grid_columns(self, t: float):
         """(ids, xs, ys) of alive nodes at ``t`` for the PHY grid."""

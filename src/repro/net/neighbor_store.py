@@ -1,10 +1,10 @@
-"""Neighbor-table backing stores for the batched beacon kernel.
+"""The network's one neighbor table (:class:`NeighborTable`): a
+(hearer, neighbor) store whose cells hold the latest heard time and the
+sender's beaconed kinematics.  Both beacon paths write it, nodes read
+their row, and the proactive sweep is one :meth:`evict_stale` pass.
+Two interchangeable store representations:
 
-The kernel records every delivered beacon as a (hearer, neighbor) cell
-holding the latest heard time and the sender's beaconed kinematics.
-Two interchangeable representations:
-
-* :class:`DenseNeighborStore` — six (N, N) float64 blocks, O(1) cell
+* :class:`DenseNeighborStore` — one (N, N, 6) float64 block, O(1) cell
   addressing and native fancy-indexed scatter.  Ideal at the paper's
   scales but quadratic in memory (4.8 GB at N = 10k), so it is only
   used up to ``repro.net.beacons._DENSE_MAX`` nodes.
@@ -25,9 +25,9 @@ Two interchangeable representations:
   bounded by (live cells) + (compaction threshold), however many
   beacons ever fired.
 
-Both expose the same surface; equivalence is proven by forcing the
-sparse store at small N against the dense results
-(``tests/test_beacon_equivalence.py``).
+Both expose the same surface; equivalence is proven op by op
+(``tests/test_sparse_store.py``) and end to end against the legacy
+beacon path (``tests/test_beacon_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -86,21 +86,29 @@ class DenseNeighborStore:
     def reset_row(self, r: int) -> None:
         self.pay[r, :, 0] = -np.inf
 
-    def newer_entries(self, r: int, after: float) -> Tuple[np.ndarray, ...]:
-        """(cols, t, bx, by, sp, vx, vy) of row ``r`` cells heard after
-        ``after``."""
+    def row(self, r: int) -> Tuple[np.ndarray, ...]:
+        """(cols, t, bx, by, sp, vx, vy) of row ``r``'s live cells, cols
+        ascending."""
         row = self.pay[r]
-        cols = np.nonzero(row[:, 0] > after)[0]
+        cols = np.flatnonzero(row[:, 0] > -np.inf)
         sel = row[cols]
         return (cols, sel[:, 0], sel[:, 1], sel[:, 2], sel[:, 3],
                 sel[:, 4], sel[:, 5])
 
-    def stale_cols(self, r: int, now: float, timeout: float) -> np.ndarray:
-        row = self.pay[r, :, 0]
-        return np.nonzero(np.isfinite(row) & (now - row > timeout))[0]
-
     def drop_cells(self, r: int, cols: np.ndarray) -> None:
         self.pay[r, cols, 0] = -np.inf
+
+    def evict_stale(self, alive_mask: np.ndarray, now: float,
+                    timeout: float) -> int:
+        """Drop every cell of an alive row not heard within ``timeout``
+        of ``now``; returns the number dropped."""
+        heard = self.heard
+        stale = np.isfinite(heard) & (now - heard > timeout)
+        stale &= alive_mask[:, None]
+        count = int(np.count_nonzero(stale))
+        if count:
+            heard[stale] = -np.inf
+        return count
 
 
 def _last_writes(keys: np.ndarray) -> np.ndarray:
@@ -245,8 +253,8 @@ class SparseNeighborStore:
     def compact(self) -> None:
         """Merge the de-duplicated tail into the base, dropping reset
         and tombstoned cells: O(base + tail), no re-sort of the base.
-        Called past ``compact_limit`` tail writes, or before a sweep
-        that will read every row."""
+        Called past ``compact_limit`` tail writes, and by
+        :meth:`evict_stale`."""
         used = self._tail_pairs
         if not used:
             return
@@ -277,9 +285,10 @@ class SparseNeighborStore:
 
     # -- reads ---------------------------------------------------------------
 
-    def _row_view(self, r: int) -> Tuple[np.ndarray, ...]:
-        """Merged keep-last view of row ``r``: (cols, t, bx, by, sp, vx,
-        vy), unique cols in ascending order."""
+    def row(self, r: int) -> Tuple[np.ndarray, ...]:
+        """(cols, t, bx, by, sp, vx, vy) of row ``r``'s live cells, cols
+        ascending: the base slice merged keep-last with the row's tail
+        writes."""
         lo, hi = np.searchsorted(self._key, (r * self.n, (r + 1) * self.n))
         live = self._live(r, self._seq[lo:hi], self._pay[lo:hi])
         cols = self._key[lo:hi][live] - r * self.n
@@ -297,19 +306,51 @@ class SparseNeighborStore:
             cols, pay = cols[order], pay[order]
         return (cols,) + tuple(pay.T)
 
-    def newer_entries(self, r: int, after: float) -> Tuple[np.ndarray, ...]:
-        cols, t, bx, by, sp, vx, vy = self._row_view(r)
-        newer = t > after
-        if newer.all():
-            return cols, t, bx, by, sp, vx, vy
-        return (cols[newer], t[newer], bx[newer], by[newer], sp[newer],
-                vx[newer], vy[newer])
-
-    def stale_cols(self, r: int, now: float, timeout: float) -> np.ndarray:
-        cols, t = self._row_view(r)[:2]
-        return cols[now - t > timeout]
+    def evict_stale(self, alive_mask: np.ndarray, now: float,
+                    timeout: float) -> int:
+        """Drop every cell of an alive row not heard within ``timeout``
+        of ``now``; returns the number dropped.  Compacts first, so the
+        sweep is one pass over the base, which it leaves holding only
+        live cells."""
+        self.compact()
+        rows = self._key // self.n
+        live = self._live(rows, self._seq, self._pay)
+        stale = live & alive_mask[rows] & (now - self._pay[:, 0] > timeout)
+        keep = live & ~stale
+        if not keep.all():
+            self._key = self._key[keep]
+            self._seq = self._seq[keep]
+            self._pay = self._pay[keep]
+        return int(np.count_nonzero(stale))
 
     @property
     def cells(self) -> int:
         """Base cells + pending tail writes (diagnostics)."""
         return int(self._key.size) + self._tail_pairs
+
+
+class NeighborTable:
+    """Row ``r`` (hearer) and column ``c`` (neighbor) of ``store`` belong
+    to node ``ids[r]`` / ``ids[c]``; ``index`` maps an id to its row.
+
+    Built once, when beacons first start, with ids ascending; a node
+    added later takes the next row and must carry the largest id so far,
+    so row columns stay in ascending node-id order.
+    """
+
+    def __init__(self, node_ids, sparse: bool):
+        self.ids = np.array(sorted(node_ids), dtype=np.int64)
+        self.index = {nid: i for i, nid in enumerate(self.ids.tolist())}
+        n = len(self.ids)
+        self.store = (SparseNeighborStore(n) if sparse
+                      else DenseNeighborStore(n))
+
+    def grow(self, node_id: int) -> None:
+        """Give ``node_id`` the next row; raises ``ValueError`` and
+        changes nothing unless it is the largest id so far."""
+        if len(self.ids) and node_id < int(self.ids[-1]):
+            raise ValueError(
+                "the neighbor table requires ascending node-id adds")
+        self.index[node_id] = len(self.ids)
+        self.ids = np.append(self.ids, node_id)
+        self.store.grow()

@@ -12,13 +12,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..geometry import SpatialGrid, Vec2
 from ..sim.engine import PeriodicTask, Simulator
 from ..sim.errors import ConfigurationError
+from . import beacons
 from .beacons import BatchedBeaconEngine
 from .energy import EnergyLedger, EnergyModel
 from .mac import MacConfig, MacLayer
 from .messages import Message
+from .neighbor_store import NeighborTable
 from .node import SensorNode
 from .radio import RadioModel
 
@@ -84,6 +88,8 @@ class Network:
         self._link_factor_cache: Dict[tuple, float] = {}
         self._grid_time = -math.inf
         self.beacon_mode = beacon_mode
+        # Built by the first start_beacons() and kept for the run.
+        self._neighbor_table: Optional[NeighborTable] = None
         self._beacon_engine: Optional[BatchedBeaconEngine] = None
         self._beacon_tasks: List[PeriodicTask] = []
         self._beacon_muted: set = set()
@@ -98,6 +104,9 @@ class Network:
     def add_node(self, node: SensorNode) -> None:
         if node.id in self.nodes:
             raise ConfigurationError(f"duplicate node id {node.id}")
+        if self._neighbor_table is not None:
+            # Raises, before anything changes, on a non-ascending id.
+            self._neighbor_table.grow(node.id)
         node.network = self
         self.nodes[node.id] = node
         self._grid_time = -math.inf  # force re-sync
@@ -226,13 +235,21 @@ class Network:
             self._beacon_engine is not None and self._beacon_engine._running)
 
     def start_beacons(self) -> None:
-        """Begin periodic location beaconing on every node."""
+        """Begin periodic location beaconing on every node.
+
+        The first call builds the neighbor table (and, in batched mode,
+        the beacon engine); a restart after :meth:`stop_beacons` reuses
+        both, so tables, banked energy and jitter streams carry over."""
         if self._beacons_running():
             raise ConfigurationError("beacons already started")
+        if self._neighbor_table is None:
+            self._neighbor_table = NeighborTable(
+                self.nodes, sparse=len(self.nodes) > beacons._DENSE_MAX)
         if self.beacon_mode == "batched":
-            self._beacon_engine = BatchedBeaconEngine(self)
-            if self._beacon_muted:
-                self._beacon_engine.set_muted(self._beacon_muted, True)
+            if self._beacon_engine is None:
+                self._beacon_engine = BatchedBeaconEngine(self)
+                if self._beacon_muted:
+                    self._beacon_engine.set_muted(self._beacon_muted, True)
             self._beacon_engine.start()
             return
         stagger_rng = self.sim.rng.stream("beacon.stagger")
@@ -328,12 +345,15 @@ class Network:
     # -- neighbor hygiene ----------------------------------------------------
 
     def start_neighbor_sweep(self, period: Optional[float] = None) -> None:
-        """Proactively evict missed-beacon neighbor entries on every node.
+        """Proactively evict missed-beacon neighbor entries on every alive
+        node.
 
         ``neighbors()`` already prunes lazily at read time; under fault
         injection a dead or silenced node must also leave tables that are
         *not* being read, so recovery decisions (GPSR reroutes, next-Q-node
-        choices) never see it.  Runs every ``period`` seconds (default:
+        choices) never see it.  Each sweep is one pass over the whole
+        neighbor store (``evict_stale``), counted in
+        ``neighbor_evictions``.  Runs every ``period`` seconds (default:
         one beacon interval); idempotent.
         """
         if self._sweep_task is not None:
@@ -342,14 +362,15 @@ class Network:
 
         def _sweep() -> None:
             now = self.sim.now
+            table = self._neighbor_table
             if self._beacon_engine is not None:
                 self.neighbor_evictions += \
                     self._beacon_engine.sweep_evict(now, timeout)
-                return
-            for node in self.nodes.values():
-                if node.alive:
-                    self.neighbor_evictions += \
-                        node.evict_stale_neighbors(now, timeout)
+            elif table is not None:
+                alive = np.array([self.nodes[nid].alive
+                                  for nid in table.ids.tolist()], dtype=bool)
+                self.neighbor_evictions += \
+                    table.store.evict_stale(alive, now, timeout)
 
         self._sweep_task = PeriodicTask(
             self.sim, period if period is not None else self.beacon_interval,

@@ -2,20 +2,25 @@
 
 The paper's network model (§3.1): every node is location-aware, broadcasts
 periodic beacons with its location and id, and keeps a table of neighbors
-heard within radio range.  Protocol behaviour is attached by registering
+heard within radio range.  That table is the node's row of the network's
+one neighbor store (``repro.net.neighbor_store``); the node itself holds
+no neighbor state.  Protocol behaviour is attached by registering
 message-kind handlers; the node itself is protocol-agnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+
+import numpy as np
 
 from ..geometry import Vec2
 from ..mobility.base import MobilityModel
 from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .neighbor_store import NeighborTable
     from .network import Network
 
 Handler = Callable[["SensorNode", Message], None]
@@ -56,7 +61,6 @@ class SensorNode:
         self.id = node_id
         self._mobility = mobility
         self.reading = reading
-        self._nt: Dict[int, NeighborEntry] = {}
         self.network: Optional["Network"] = None
         self._handlers: Dict[str, Handler] = {}
         self._alive = True
@@ -97,21 +101,15 @@ class SensorNode:
 
     @property
     def neighbor_table(self) -> Dict[int, NeighborEntry]:
-        """The node's neighbor table (the real dict, not a copy).
-
-        In batched-beacon mode reading it first materializes any beacon
-        deliveries applied since the last read, so external readers (the
-        validation checkers, fault tooling) see the same state the legacy
-        per-event path would have produced.
-        """
-        engine = self._beacon_engine()
-        if engine is not None:
-            engine.sync_node_table(self)
-        return self._nt
-
-    @neighbor_table.setter
-    def neighbor_table(self, value: Dict[int, NeighborEntry]) -> None:
-        self._nt = value
+        """A snapshot of the node's row of the neighbor store, keyed by
+        neighbor id in ascending order: every entry not yet evicted, as
+        last beaconed (no dead reckoning, no pruning).  In batched-beacon
+        mode the read flushes first, so external readers (validation
+        checkers, fault tooling) see what the legacy path would have
+        produced.  Writing to it changes nothing."""
+        row = None if self.network is None else self._row()
+        return {} if row is None else {e.node_id: e
+                                       for e in self._entries(row)}
 
     # -- kinematics ----------------------------------------------------------
 
@@ -132,66 +130,104 @@ class SensorNode:
 
     # -- neighbor table ------------------------------------------------------
 
+    def _table(self) -> Optional["NeighborTable"]:
+        """The network's neighbor table, flushed up to now; ``None`` off
+        a network or before beacons first start."""
+        net = self.network
+        if net is None:
+            return None
+        net.flush_beacons()
+        return net._neighbor_table
+
+    def _row(self) -> Optional[Tuple[np.ndarray, ...]]:
+        """The node's store row as of now: (cols, t, bx, by, sp, vx, vy),
+        neighbor ids ``ids[cols]`` ascending."""
+        engine = self.network._beacon_engine
+        if engine is not None:
+            return engine.sync_node_table(self)
+        table = self.network._neighbor_table
+        return None if table is None else table.store.row(
+            table.index[self.id])
+
+    def _prune(self, row: Tuple[np.ndarray, ...], now: float,
+               max_age: float) -> Tuple[np.ndarray, ...]:
+        """``row`` without its cells older than ``max_age``, which are
+        dropped from the store."""
+        stale = now - row[1] > max_age
+        if not stale.any():
+            return row
+        table = self.network._neighbor_table
+        table.store.drop_cells(table.index[self.id], row[0][stale])
+        return tuple(a[~stale] for a in row)
+
+    def _entries(self, row: Tuple[np.ndarray, ...],
+                 now: Optional[float] = None) -> List[NeighborEntry]:
+        """Entries for ``row``, positions dead-reckoned to ``now`` if
+        given (the arithmetic of ``NeighborEntry.predicted_position``)."""
+        cols, t, bx, by, sp, vx, vy = row
+        px, py = bx, by
+        if now is not None:
+            age = np.maximum(now - t, 0.0)
+            px, py = bx + vx * age, by + vy * age
+        ids = self.network._neighbor_table.ids[cols].tolist()
+        return [NeighborEntry(i, Vec2(x, y), s, h, beacon_position=Vec2(b, c),
+                              velocity=Vec2(u, w))
+                for i, x, y, s, h, b, c, u, w in zip(
+                    ids, px.tolist(), py.tolist(), sp.tolist(), t.tolist(),
+                    bx.tolist(), by.tolist(), vx.tolist(), vy.tolist())]
+
     def observe_beacon(self, node_id: int, position: Vec2, speed: float,
                        time: float,
                        velocity: Vec2 = Vec2(0.0, 0.0)) -> None:
-        """Record a heard beacon."""
-        self.neighbor_table[node_id] = NeighborEntry(
-            node_id, position, speed, time, beacon_position=position,
-            velocity=velocity)
-        engine = self._beacon_engine()
-        if engine is not None:
-            # Mirror direct observations into the neighbor store so
-            # staleness sweeps see them.
-            engine.note_observation(self.id, node_id, time, position,
-                                    speed, velocity)
+        """Record a heard beacon in the node's store row."""
+        table = self._table()
+        if table is None:
+            raise RuntimeError("no neighbor table: beacons never started")
+        table.store.update_cell(table.index[self.id], table.index[node_id],
+                                time, position.x, position.y, speed,
+                                velocity.x, velocity.y)
 
     def neighbors(self, max_age: Optional[float] = None) -> List[NeighborEntry]:
-        """Fresh neighbor entries (protocol view).
+        """Fresh neighbor entries (protocol view), in ascending id order.
 
         Entries older than ``max_age`` (default: the network's neighbor
-        timeout) are pruned as a side effect; surviving entries are
-        returned with dead-reckoned positions as of the current time.
+        timeout) are pruned from the store as a side effect; surviving
+        entries are returned with dead-reckoned positions as of the
+        current time.
         """
         if self.network is None:
             raise RuntimeError("node is not attached to a network")
         if max_age is None:
             max_age = self.network.neighbor_timeout
         now = self.network.sim.now
-        self.evict_stale_neighbors(now, max_age)
-        return [NeighborEntry(e.node_id, e.predicted_position(now), e.speed,
-                              e.heard_at, beacon_position=e.beacon_position,
-                              velocity=e.velocity)
-                for e in self.neighbor_table.values()]
+        row = self._row()
+        return [] if row is None else self._entries(
+            self._prune(row, now, max_age), now)
 
     def forget_neighbor(self, node_id: int) -> None:
         """Drop a neighbor entry (e.g. after link-layer delivery failure)."""
-        self.neighbor_table.pop(node_id, None)
-        engine = self._beacon_engine()
-        if engine is not None:
-            engine.clear_cell(self.id, node_id)
+        table = self._table()
+        col = None if table is None else table.index.get(node_id)
+        if col is not None:
+            table.store.clear_cell(table.index[self.id], col)
 
     def reset_neighbors(self) -> None:
         """Wipe the whole neighbor table (crash recovery: a rebooted node
         remembers nothing)."""
-        self._nt.clear()
-        engine = self._beacon_engine()
-        if engine is not None:
-            engine.reset_row(self.id)
+        table = self._table()
+        if table is not None:
+            table.store.reset_row(table.index[self.id])
 
     def evict_stale_neighbors(self, now: float, max_age: float) -> int:
         """Missed-beacon eviction: drop entries not refreshed within
         ``max_age`` seconds.  Returns the number evicted.
 
-        Same policy ``neighbors()`` applies lazily at read time, exposed
-        for proactive sweeps so crashed or silenced neighbors leave the
-        table even when it is not being read.
+        The policy ``neighbors()`` applies at read time; the network's
+        sweep applies it to every alive node in one store pass.
         """
-        stale = [nid for nid, e in self.neighbor_table.items()
-                 if now - e.heard_at > max_age]
-        for nid in stale:
-            del self.neighbor_table[nid]
-        return len(stale)
+        row = self._row()
+        return 0 if row is None else (
+            row[0].size - self._prune(row, now, max_age)[0].size)
 
     # -- messaging -----------------------------------------------------------
 

@@ -188,6 +188,75 @@ def test_stop_beacons_drains_in_flight():
     assert_states_equal(run("legacy"), run("batched"))
 
 
+def test_restart_beacons_reuses_engine():
+    """stop_beacons() then start_beacons() resumes the one engine: its
+    banked beacon energy, cached jitter draws and neighbor store carry
+    over, exactly as the legacy tasks resume their streams."""
+    engines = []
+
+    def run(mode):
+        sim, net = build_network(mode, 2, n_nodes=30, mobile=True)
+        net.start_beacons()
+        engines.append(net._beacon_engine)
+        sim.run(until=1.2)
+        net.stop_beacons()
+        sim.run(until=2.0)
+        net.start_beacons()
+        engines.append(net._beacon_engine)
+        sim.run(until=3.1)
+        return beacon_state(net)
+
+    assert_states_equal(run("legacy"), run("batched"))
+    assert engines[:2] == [None, None] and engines[2] is engines[3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equal_under_reads_forgets_resets_and_sweeps(seed):
+    """Prune-on-read, forgets, table wipes and the whole-store sweep,
+    interleaved mid-interval, leave identical tables and eviction
+    counts in both kernels."""
+    n = 30
+
+    def run(mode):
+        sim, net = build_network(mode, seed, n_nodes=n, mobile=True)
+        net.start_beacons()
+        net.start_neighbor_sweep()
+        rng = _rng(seed + 200)
+        out = []
+        for step in range(1, 17):
+            sim.run(until=0.3 * step)
+            # Writes first, while deliveries since the last read are
+            # still pending in the batched kernel; a wipe leads every
+            # third step.  (Ranges come from the mobility models:
+            # ``in_range_of`` would re-sync the legacy path's PHY grid
+            # and so move its beacon receiver sets.)
+            if step % 3 == 0:
+                net.nodes[int(rng.integers(0, n))].reset_neighbors()
+            for hearer in rng.choice(n, size=3, replace=False).tolist():
+                node = net.nodes[hearer]
+                here = node.position()
+                near = [other.id for other in net.nodes.values()
+                        if other.id != hearer and other.position()
+                        .distance_to(here) <= net.radio.range_m]
+                if near:
+                    node.forget_neighbor(int(rng.choice(near)))
+            if step == 4:
+                net.mute_beacons(range(0, n, 4))  # let some tables rot
+            if step == 6:
+                net.nodes[5].alive = False
+            for nid in rng.choice(n, size=8, replace=False).tolist():
+                net.nodes[nid].neighbors()
+            net.nodes[int(rng.integers(0, n))].neighbors(max_age=0.6)
+            out.append((beacon_state(net), net.neighbor_evictions))
+        return out
+
+    legacy, batched = run("legacy"), run("batched")
+    for step, ((ls, le), (bs, be)) in enumerate(zip(legacy, batched), 1):
+        assert_states_equal(ls, bs, context=f"seed={seed} step={step}")
+        assert le == be, f"seed={seed} step={step}: evictions diverged"
+    assert legacy[-1][1] > 0, "the sweep should have evicted something"
+
+
 # -- RNG discipline ---------------------------------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -7,7 +7,7 @@ from repro.mobility import RandomWaypointMobility, StaticMobility
 from repro.net import Message, Network, SensorNode
 from repro.sim import ConfigurationError, Simulator
 
-from tests.conftest import build_static_network
+from tests.conftest import build_mobile_network, build_static_network
 
 
 class TestNodeBasics:
@@ -47,6 +47,27 @@ class TestNetworkPopulation:
         sim, net = build_static_network(n=7, warm=False)
         assert len(net) == 7
         assert net.node(3).id == 3
+
+    @pytest.mark.parametrize("mode", ["batched", "legacy"])
+    def test_rejected_add_changes_nothing(self, mode):
+        """Once beacons run, ids must arrive in ascending order; a
+        rejected add leaves the network exactly as it was."""
+        sim = Simulator(seed=1)
+        net = Network(sim, beacon_mode=mode)
+        for i in range(0, 20, 2):
+            net.add_node(SensorNode(i, StaticMobility(Vec2(5.0 * i, 0.0))))
+        net.warm_up()
+        far = Vec2(0.0, 0.0)
+        before = net.in_range_of(far, radius=1000.0)
+        late = SensorNode(7, StaticMobility(Vec2(35.0, 1.0)))
+        with pytest.raises(ValueError):
+            net.add_node(late)
+        assert len(net) == 10 and 7 not in net.nodes
+        assert late.network is None
+        assert net.in_range_of(far, radius=1000.0) == before
+        net.add_node(SensorNode(20, StaticMobility(Vec2(100.0, 0.0))))
+        assert [nid for nid, _ in net.in_range_of(far, radius=1000.0)] \
+            == list(range(0, 22, 2))
 
 
 class TestPositionsAndRange:
@@ -99,6 +120,23 @@ class TestBeaconsAndNeighborTables:
         sim.run(until=sim.now + 10 * net.neighbor_timeout)
         assert node.neighbors() == []
 
+    def test_read_prunes_the_store(self):
+        """``neighbors()`` drops the stale cells it skips from the store:
+        the pruned node's table empties, an unread one keeps its stale
+        entries until the sweep."""
+        sim, net = build_static_network(n=30)
+        reader, idle = [n for n in net.nodes.values() if n.neighbor_table][:2]
+        assert reader.neighbors()
+        net.stop_beacons()
+        sim.run(until=sim.now + 10 * net.neighbor_timeout)
+        assert reader.neighbors() == []
+        assert reader.neighbor_table == {}
+        stale = len(idle.neighbor_table)
+        assert stale
+        assert idle.evict_stale_neighbors(sim.now,
+                                          net.neighbor_timeout) == stale
+        assert idle.neighbor_table == {}
+
     def test_double_start_rejected(self):
         sim, net = build_static_network(n=5)
         with pytest.raises(ConfigurationError):
@@ -123,6 +161,23 @@ class TestBeaconsAndNeighborTables:
             # Prediction must beat the raw beaconed position.
             assert predicted.distance_to(true_pos) <= \
                 raw.distance_to(true_pos) + 1e-9
+
+
+    def test_dead_reckoning_matches_scalar_rule(self):
+        """``neighbors()`` dead-reckons a whole row at once with exactly
+        the arithmetic of ``NeighborEntry.predicted_position``."""
+        sim, net, _sink = build_mobile_network(n=60)
+        sim.run(until=sim.now + 0.37)  # mid-beacon-interval
+        now = sim.now
+        checked = 0
+        for node in net.nodes.values():
+            table = node.neighbor_table
+            for entry in node.neighbors():
+                raw = table[entry.node_id]
+                assert entry.position == raw.predicted_position(now)
+                assert entry.beacon_position == raw.beacon_position
+                checked += 1
+        assert checked > 100
 
 
 class TestMessaging:

@@ -13,8 +13,6 @@ op by op.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,14 +32,18 @@ def force_sparse(monkeypatch):
 
 def _assert_rows_equal(dense, sparse, n):
     for r in range(n):
-        d = dense.newer_entries(r, -math.inf)
-        s = sparse.newer_entries(r, -math.inf)
-        for a, b in zip(d, s):
+        for a, b in zip(dense.row(r), sparse.row(r)):
             np.testing.assert_array_equal(a, b)
 
 
-#: staleness timeout of the differential's stale_cols / drop sweeps; each
-#: op advances the clock by 0.25 s, so cells go stale after 6 ops
+def _stale_cols(store, r, now, timeout):
+    """Row ``r``'s cells older than ``timeout`` (the prune-on-read rule)."""
+    cols, t = store.row(r)[:2]
+    return cols[now - t > timeout]
+
+
+#: staleness timeout of the differential's sweeps; each op advances the
+#: clock by 0.25 s, so cells go stale after 6 ops
 _TIMEOUT = 1.5
 
 _idx = st.integers(0, 7)  # taken modulo the store's current size
@@ -53,13 +55,16 @@ _store_op = st.one_of(
     st.tuples(st.just("reset"), _idx),
     st.tuples(st.just("drop"), _idx, st.lists(_idx, max_size=5)),
     st.tuples(st.just("sweep"), _idx),
+    st.tuples(st.just("evict"), st.lists(st.booleans(), min_size=8,
+                                         max_size=8)),
     st.just(("grow",)),
     st.just(("compact",)),
 )
 
 
 def _apply(op, step, t, stores):
-    """Apply one op to every store; return the sweep's stale cols."""
+    """Apply one op to every store; return what each store's sweep or
+    evict reported (stale cols / eviction count)."""
     kind, n = op[0], stores[0].n
     if kind == "scatter":
         cells = dict.fromkeys((r % n, c % n) for r, c in op[1])
@@ -86,10 +91,13 @@ def _apply(op, step, t, stores):
             store.drop_cells(op[1] % n, cols)
     elif kind == "sweep":
         r = op[1] % n
-        stale = [store.stale_cols(r, t, _TIMEOUT) for store in stores]
+        stale = [_stale_cols(store, r, t, _TIMEOUT) for store in stores]
         for store, cols in zip(stores, stale):
             store.drop_cells(r, cols)
         return stale
+    elif kind == "evict":
+        alive = np.array([op[1][i % 8] for i in range(n)], dtype=bool)
+        return [store.evict_stale(alive, t, _TIMEOUT) for store in stores]
     elif kind == "grow":
         for store in stores:
             store.grow()
@@ -100,14 +108,7 @@ def _apply(op, step, t, stores):
 
 def _assert_same_tables(dense, sparse, t):
     assert dense.n == sparse.n
-    for r in range(dense.n):
-        for after in (-math.inf, t - 1.0):
-            d = dense.newer_entries(r, after)
-            s = sparse.newer_entries(r, after)
-            for a, b in zip(d, s):
-                np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(dense.stale_cols(r, t, _TIMEOUT),
-                                      sparse.stale_cols(r, t, _TIMEOUT))
+    _assert_rows_equal(dense, sparse, dense.n)
 
 
 class TestStoreDifferential:
@@ -153,8 +154,8 @@ class TestStoreDifferential:
                 sparse.reset_row(r)
             else:
                 r = int(rng.integers(0, n))
-                stale_d = dense.stale_cols(r, t, 1.5)
-                stale_s = sparse.stale_cols(r, t, 1.5)
+                stale_d = _stale_cols(dense, r, t, 1.5)
+                stale_s = _stale_cols(sparse, r, t, 1.5)
                 np.testing.assert_array_equal(stale_d, stale_s)
                 dense.drop_cells(r, stale_d)
                 sparse.drop_cells(r, stale_s)
@@ -173,20 +174,13 @@ class TestStoreDifferential:
         assert dense.n == sparse.n == 4
         _assert_rows_equal(dense, sparse, 4)
 
-    def test_newer_entries_watermark(self):
-        sparse = SparseNeighborStore(4)
-        sparse.update_cell(1, 0, 5.0, 1, 1, 0, 0, 0)
-        sparse.update_cell(1, 2, 7.0, 1, 1, 0, 0, 0)
-        cols, heard = sparse.newer_entries(1, 5.0)[:2]
-        assert cols.tolist() == [2] and heard.tolist() == [7.0]
-
     def test_reset_row_watermark_survives_compaction(self):
         sparse = SparseNeighborStore(4, compact_limit=2)
         sparse.update_cell(1, 0, 5.0, 1, 1, 0, 0, 0)
         sparse.reset_row(1)
         sparse.update_cell(1, 3, 6.0, 1, 1, 0, 0, 0)
         sparse.compact()
-        cols = sparse.newer_entries(1, -math.inf)[0]
+        cols = sparse.row(1)[0]
         assert cols.tolist() == [3]
 
     def test_memory_stays_bounded_under_rewrites(self):
@@ -231,6 +225,14 @@ class TestStoreDifferential:
     # stale sweeps drop cells heard long enough ago
     @example(limit=1, ops=[("scatter", [(0, 1), (0, 2)])]
              + [("update", 1, 0)] * 6 + [("sweep", 0), ("update", 0, 2)])
+    # whole-store eviction skips dead rows, tombstones and reset rows,
+    # and counts only what it drops
+    @example(limit=100_000, ops=[("scatter", [(0, 1), (0, 2), (1, 0),
+                                              (2, 3)]),
+                                 ("compact",), ("clear", 0, 2), ("reset", 2)]
+             + [("update", 3, 0)] * 6
+             + [("evict", [True, False, True, True] * 2),
+                ("update", 0, 1), ("evict", [True] * 8)])
     def test_property_matches_dense(self, limit, ops):
         """Every row agrees after every op of an interleaved sequence."""
         n = 4
@@ -238,9 +240,9 @@ class TestStoreDifferential:
         sparse = SparseNeighborStore(n, compact_limit=limit)
         for step, op in enumerate(ops):
             t = 0.25 * (step + 1)
-            stale = _apply(op, step, t, (dense, sparse))
-            if stale is not None:
-                np.testing.assert_array_equal(*stale)
+            reported = _apply(op, step, t, (dense, sparse))
+            if reported is not None:
+                np.testing.assert_array_equal(*reported)
             _assert_same_tables(dense, sparse, t)
 
     def test_compaction_bounds_cells(self):

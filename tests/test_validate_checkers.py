@@ -16,7 +16,6 @@ from repro.mobility import StaticMobility
 from repro.net import Network, SensorNode
 from repro.net.mac import _ActiveTx
 from repro.net.messages import Message
-from repro.net.node import NeighborEntry
 from repro.sim import Simulator
 from repro.validate import (CausalityChecker, InvariantViolation,
                             ValidationHarness, check_sector_partition,
@@ -92,10 +91,16 @@ def test_beacon_ledger_also_watched(validated_handle):
 # -- neighbor soundness -----------------------------------------------------
 
 def test_unbacked_neighbor_entry_detected(validated_handle):
-    node = validated_handle.network.nodes[0]
-    node.neighbor_table[9999] = NeighborEntry(
-        node_id=9999, position=Vec2(1.0, 1.0), speed=0.0,
-        heard_at=validated_handle.sim.now)
+    net = validated_handle.network
+    node = net.nodes[0]
+    here = node.position()
+    # Static field: a node out of range after warm-up never beaconed to 0.
+    stranger = max((n for n in net.nodes.values()
+                    if n.id not in node.neighbor_table),
+                   key=lambda n: n.position().distance_to(here))
+    assert stranger.position().distance_to(here) > net.radio.range_m
+    node.observe_beacon(stranger.id, stranger.position(), 0.0,
+                        validated_handle.sim.now)
     with pytest.raises(InvariantViolation,
                        match="neighbor-soundness.*no delivered beacon"):
         validated_handle.validator.check_now()
@@ -104,8 +109,10 @@ def test_unbacked_neighbor_entry_detected(validated_handle):
 def test_future_beacon_timestamp_detected(validated_handle):
     node = validated_handle.network.nodes[1]
     assert node.neighbor_table, "warm-up should have filled tables"
-    entry = next(iter(node.neighbor_table.values()))
-    entry.heard_at = validated_handle.sim.now + 100.0
+    nbr_id, entry = next(iter(node.neighbor_table.items()))
+    node.observe_beacon(nbr_id, entry.beacon_position, entry.speed,
+                        validated_handle.sim.now + 100.0,
+                        velocity=entry.velocity)
     with pytest.raises(InvariantViolation,
                        match="neighbor-soundness.*future"):
         validated_handle.validator.check_now()
