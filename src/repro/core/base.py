@@ -31,10 +31,6 @@ class QueryProtocol(abc.ABC):
         self._pending: Dict[int, QueryResult] = {}
         self._callbacks: Dict[int, CompletionFn] = {}
         self._finalized: Set[int] = set()
-        #: optional telemetry sink (repro.obs.Telemetry).  Protocols emit
-        #: lifecycle events through it behind ``if self.obs is not None``
-        #: guards, so an uninstrumented run pays one attribute check.
-        self.obs = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -83,9 +79,9 @@ class QueryProtocol(abc.ABC):
         self._finalized.add(query_id)
         self._on_finalize(query_id)
         result.completed_at = self.network.sim.now
-        if self.obs is not None:
-            self.obs.query_finalized(query_id, completed=True,
-                                     at=self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.query_finalized(query_id, completed=True,
+                                at=self.network.sim.now)
         if callback is not None:
             callback(result)
 
@@ -102,9 +98,9 @@ class QueryProtocol(abc.ABC):
         if result is not None:
             self._finalized.add(query_id)
             self._on_finalize(query_id)
-            if self.obs is not None:
-                self.obs.query_finalized(query_id, completed=False,
-                                         at=self.network.sim.now)
+            for obs in self.network.sim.probe.protocol:
+                obs.query_finalized(query_id, completed=False,
+                                    at=self.network.sim.now)
         return result
 
     def _is_finalized(self, query_id: int) -> bool:

@@ -33,7 +33,7 @@ from .collection import (CollectionPlan, build_precedence,
                          expected_new_responders, scheme_reply_delay,
                          should_reply)
 from .dissemination import NextHop, TokenState, choose_next_qnode
-from .itinerary import full_coverage_width
+from .itinerary import SectorItinerary, full_coverage_width
 from .knnb import InfoList, count_new_neighbors, knnb_radius
 from .query import Candidate, KNNQuery, merge_candidates
 from .rendezvous import (SectorStats, evaluate_boundary,
@@ -203,8 +203,8 @@ class DIKNNProtocol(QueryProtocol):
     def issue(self, sink: SensorNode, query: KNNQuery,
               on_complete: CompletionFn) -> None:
         self._register_query(query, self.config.sectors, on_complete)
-        if self.obs is not None:
-            self.obs.query_issued(query, sink.id, self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.query_issued(query, sink.id, self.network.sim.now)
         if self.config.sector_watchdog_s:
             self._watchdogs[query.query_id] = {
                 "sink": sink, "query": query, "retries": 0,
@@ -216,9 +216,9 @@ class DIKNNProtocol(QueryProtocol):
 
     def _send_query(self, sink: SensorNode, query: KNNQuery,
                     attempt: int) -> None:
-        if self.obs is not None:
-            self.obs.route_attempt(query.query_id, attempt,
-                                   self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.route_attempt(query.query_id, attempt,
+                              self.network.sim.now)
         payload = {
             "query_id": query.query_id,
             "k": query.k,
@@ -269,11 +269,11 @@ class DIKNNProtocol(QueryProtocol):
         radius = knnb_radius(info, q, self.network.radio.range_m,
                              inner["k"])
         self._initial_radius[query_id] = radius
-        if self.obs is not None:
-            self.obs.home_reached(query_id, node.id, radius,
-                                  inner.get("_route_hops",
-                                            len(inner["L"]["locs"])),
-                                  self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.home_reached(query_id, node.id, radius,
+                             inner.get("_route_hops",
+                                       len(inner["L"]["locs"])),
+                             self.network.sim.now)
         # Dissemination starts immediately: the home node fans the sector
         # tokens out in parallel; collection happens at the sector Q-nodes
         # (keeping the home from serializing a collection window of its
@@ -352,8 +352,8 @@ class DIKNNProtocol(QueryProtocol):
         finished: List[TokenState] = []
         neighbors = node.neighbors()
         for j in targets:
-            if self.obs is not None:
-                self.obs.sector_dispatched(query_id, j, node.id, now)
+            for obs in self.network.sim.probe.protocol:
+                obs.sector_dispatched(query_id, j, node.id, now)
             token = TokenState(
                 query_id=query_id, sink_id=inner["sink_id"],
                 sink_pos=Vec2(*inner["sink_pos"]), point=q, k=inner["k"],
@@ -371,7 +371,7 @@ class DIKNNProtocol(QueryProtocol):
                 progress_radius=min(pos.distance_to(q)
                                     + self.network.radio.range_m,
                                     radius)).to_wire()
-            itinerary = token.build_itinerary()
+            itinerary = self._itinerary(token)
             hop = choose_next_qnode(pos, neighbors, itinerary.waypoints,
                                     token.waypoint_index, token.width,
                                     token.visited, cfg.lookahead,
@@ -394,18 +394,19 @@ class DIKNNProtocol(QueryProtocol):
         if hop.void_detour:
             token.voids += 1
             token.consecutive_detours += 1
-            if self.obs is not None and node is not None:
-                self.obs.sector_void(token.query_id, token.sector,
-                                     node.id, token.voids,
-                                     token.consecutive_detours,
-                                     self.network.sim.now)
+            if node is not None:
+                for obs in self.network.sim.probe.protocol:
+                    obs.sector_void(token.query_id, token.sector, node.id,
+                                    token.voids, token.consecutive_detours,
+                                    self.network.sim.now)
         else:
             token.consecutive_detours = 0
 
     def _note_finish(self, node: SensorNode, token: TokenState,
                      hop: NextHop, itinerary) -> None:
         """Observer note of why a sector traversal ended here."""
-        if self.obs is None:
+        observers = self.network.sim.probe.protocol
+        if not observers:
             return
         if token.consecutive_detours > self.config.max_detours:
             reason = "detours_exhausted"
@@ -413,11 +414,19 @@ class DIKNNProtocol(QueryProtocol):
             reason = "dead_end"
         else:
             reason = "plan_complete"
-        self.obs.sector_finished(
-            token.query_id, token.sector, node.id, reason,
-            token.waypoint_index, token.voids,
-            itinerary.progress_fraction(token.waypoint_index),
-            self.network.sim.now)
+        progress = itinerary.progress_fraction(token.waypoint_index)
+        for obs in observers:
+            obs.sector_finished(token.query_id, token.sector, node.id,
+                                reason, token.waypoint_index, token.voids,
+                                progress, self.network.sim.now)
+
+    def _itinerary(self, token: TokenState) -> SectorItinerary:
+        """Rebuild ``token``'s waypoint plan and announce it on the
+        probe's ``itinerary`` channel."""
+        itinerary = token.build_itinerary()
+        for fn in self.network.sim.probe.itinerary:
+            fn(itinerary)
+        return itinerary
 
     def _hop_exhausted(self, token: TokenState, hop: NextHop) -> bool:
         """True when the traversal should end here: plan complete, dead
@@ -448,10 +457,10 @@ class DIKNNProtocol(QueryProtocol):
     def _retry_token(self, node: SensorNode, token: TokenState) -> None:
         if not node.alive:
             return
-        if self.obs is not None:
-            self.obs.token_retry(token.query_id, token.sector, node.id,
-                                 self.network.sim.now)
-        itinerary = token.build_itinerary()
+        for obs in self.network.sim.probe.protocol:
+            obs.token_retry(token.query_id, token.sector, node.id,
+                            self.network.sim.now)
+        itinerary = self._itinerary(token)
         hop = choose_next_qnode(node.position(), node.neighbors(),
                                 itinerary.waypoints, token.waypoint_index,
                                 token.width, token.visited,
@@ -472,8 +481,8 @@ class DIKNNProtocol(QueryProtocol):
         self._qnode_hops[token.query_id] = \
             self._qnode_hops.get(token.query_id, 0) + 1
         now = self.network.sim.now
-        if self.obs is not None:
-            self.obs.token_hop(token.query_id, token.sector, node.id, now)
+        for obs in self.network.sim.probe.protocol:
+            obs.token_hop(token.query_id, token.sector, node.id, now)
         # The Q-node contributes its own response.
         if token.query_id not in self._responded.get(node.id, set()):
             self._mark_responded(node.id, token.query_id)
@@ -575,9 +584,9 @@ class DIKNNProtocol(QueryProtocol):
         now = self.network.sim.now
         pos = node.position()
         q = token.point
-        if self.obs is not None:
-            self.obs.window_closed(session.query_id, session.sector,
-                                   node.id, len(session.replies), now)
+        for obs in self.network.sim.probe.protocol:
+            obs.window_closed(session.query_id, session.sector,
+                              node.id, len(session.replies), now)
 
         # Fold collected replies into the partial result.
         token.explored += len(session.replies)
@@ -629,7 +638,7 @@ class DIKNNProtocol(QueryProtocol):
     def _forward_or_finish(self, node: SensorNode, token: TokenState,
                            now: float) -> None:
         cfg = self.config
-        itinerary = token.build_itinerary()
+        itinerary = self._itinerary(token)
         hop = choose_next_qnode(node.position(), node.neighbors(),
                                 itinerary.waypoints, token.waypoint_index,
                                 token.width, token.visited, cfg.lookahead,
@@ -644,7 +653,7 @@ class DIKNNProtocol(QueryProtocol):
             if expansion > token.width / 4.0:
                 token.assurance_extended = True
                 token.radius_history.append(token.radius + expansion)
-                itinerary = token.build_itinerary()
+                itinerary = self._itinerary(token)
                 hop = choose_next_qnode(node.position(), node.neighbors(),
                                         itinerary.waypoints,
                                         token.waypoint_index, token.width,
@@ -664,10 +673,10 @@ class DIKNNProtocol(QueryProtocol):
     def _send_result_bundle(self, node: SensorNode,
                             tokens: List[TokenState]) -> None:
         first = tokens[0]
-        if self.obs is not None:
-            self.obs.bundle_sent(first.query_id,
-                                 [t.sector for t in tokens], node.id,
-                                 self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.bundle_sent(first.query_id,
+                            [t.sector for t in tokens], node.id,
+                            self.network.sim.now)
         merged: List[tuple] = []
         for token in tokens:
             merged = self._merge_wire(merged, token.candidates, first.point,
@@ -727,9 +736,9 @@ class DIKNNProtocol(QueryProtocol):
                     # runner's timeout finalize the partial result
         wd["retries"] += 1
         self.redispatches += len(missing)
-        if self.obs is not None:
-            self.obs.requery_dispatched(query_id, missing,
-                                        self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.requery_dispatched(query_id, missing,
+                                   self.network.sim.now)
         self._send_requery(sink, wd["query"], missing, wd["retries"])
         wd["handle"] = self.network.sim.schedule_in(
             self.config.sector_watchdog_s,
@@ -782,9 +791,9 @@ class DIKNNProtocol(QueryProtocol):
         result = self._result_of(query_id)
         if result is None:
             return
-        if self.obs is not None:
-            self.obs.bundle_received(query_id, inner["sectors"],
-                                     self.network.sim.now)
+        for obs in self.network.sim.probe.protocol:
+            obs.bundle_received(query_id, inner["sectors"],
+                                self.network.sim.now)
         new = [self._from_wire(c) for c in inner["cands"]]
         result.candidates = merge_candidates(
             result.candidates, new, result.query.point,

@@ -27,19 +27,6 @@ from typing import List
 from ..geometry import TWO_PI, Vec2, normalize_angle, segment_point_distance
 
 
-#: optional pure observer called as ``fn(itinerary)`` after every sector
-#: itinerary (re)build.  Set by ``repro.obs`` to count builds and sample
-#: waypoint counts/path lengths; must not mutate the itinerary.  None —
-#: the default — costs a single comparison per build.
-_build_observer = None
-
-
-def set_build_observer(observer) -> None:
-    """Install (or, with None, remove) the itinerary-build observer."""
-    global _build_observer
-    _build_observer = observer
-
-
 def full_coverage_width(radio_range: float) -> float:
     """The w <= sqrt(3)r/2 bound giving full coverage at minimal length."""
     return math.sqrt(3.0) / 2.0 * radio_range
@@ -186,13 +173,9 @@ def build_sector_itinerary(center: Vec2, radius: float, sectors: int,
             _emit(center + Vec2.from_polar(rho, a))
         forward = not forward
 
-    itinerary = SectorItinerary(sector_index=sector_index,
-                                sectors_total=sectors, center=center,
-                                radius=radius, width=width,
-                                waypoints=waypoints, inverted=invert)
-    if _build_observer is not None:
-        _build_observer(itinerary)
-    return itinerary
+    return SectorItinerary(sector_index=sector_index, sectors_total=sectors,
+                           center=center, radius=radius, width=width,
+                           waypoints=waypoints, inverted=invert)
 
 
 def build_itineraries(center: Vec2, radius: float, sectors: int,
@@ -252,10 +235,7 @@ def extend_sector_itinerary(it: SectorItinerary, new_radius: float,
         forward = not forward
         rho += it.width
 
-    extended = SectorItinerary(sector_index=it.sector_index,
-                               sectors_total=sectors, center=it.center,
-                               radius=new_radius, width=it.width,
-                               waypoints=waypoints, inverted=it.inverted)
-    if _build_observer is not None:
-        _build_observer(extended)
-    return extended
+    return SectorItinerary(sector_index=it.sector_index,
+                           sectors_total=sectors, center=it.center,
+                           radius=new_radius, width=it.width,
+                           waypoints=waypoints, inverted=it.inverted)

@@ -201,8 +201,8 @@ def build_simulation(config: SimulationConfig,
     # when validation was switched on for this process.
     from ..validate.harness import maybe_attach
     handle.validator = maybe_attach(handle)
-    # Same pattern for telemetry (--obs); attaching after the validator
-    # lets the telemetry chain behind its energy-ledger observer.
+    # Same pattern for telemetry (--obs); both subscribe to sim.probe,
+    # so neither depends on the other's attach or detach order.
     from ..obs.telemetry import maybe_attach_obs
     handle.obs = maybe_attach_obs(handle)
     return handle

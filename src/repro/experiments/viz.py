@@ -1,10 +1,11 @@
 """Figure 7 visualization: DIKNN execution rendered as SVG.
 
 The paper visualizes itinerary traversals over a real-world (caribou)
-distribution by post-processing modified ns-2 traces.  Here a network
-trace hook records Q-node hops during a live query, and the renderer
-emits a standalone SVG: node dots, the KNN boundary, per-sector traversal
-polylines, and the query point.  No plotting library required.
+distribution by post-processing modified ns-2 traces.  Here a subscriber
+of the simulator probe's ``trace`` channel records Q-node hops during a
+live query, and the renderer emits a standalone SVG: node dots, the KNN
+boundary, per-sector traversal polylines, and the query point.  No
+plotting library required.
 """
 
 from __future__ import annotations
@@ -35,12 +36,16 @@ class TraversalTrace:
 
 
 class TraversalRecorder:
-    """Network trace hook capturing DIKNN token hops."""
+    """Probe ``trace`` subscriber capturing DIKNN token hops."""
 
     def __init__(self, network: Network, query_id: Optional[int] = None):
         self.network = network
         self.trace = TraversalTrace(query_id=query_id)
-        network.add_trace_hook(self._hook)
+        network.sim.probe.subscribe("trace", self._hook)
+
+    def detach(self) -> None:
+        """Stop recording (idempotent)."""
+        self.network.sim.probe.unsubscribe("trace", self._hook)
 
     def _hook(self, event: str, message: Message, node_id: int) -> None:
         if event != "send" or message.kind != "diknn.token":

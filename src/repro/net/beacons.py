@@ -478,8 +478,7 @@ class BatchedBeaconEngine:
 
         mac = net._beacon_mac
         ledger = net.beacon_ledger
-        slow_energy = (ledger.observer is not None
-                       or ledger.capacity_j is not None)
+        slow_energy = ledger.observed or ledger.capacity_j is not None
         has_overlay = (mac.loss_overlay_at is not None
                        or mac.loss_overlay is not None)
         base_loss = net.radio.base_loss_rate
@@ -825,8 +824,8 @@ class BatchedBeaconEngine:
             self.pending.insert(0, straddler)
         has_transitions = bool(self._transitions)
         all_alive = not has_transitions and bool(self.alive_mask.all())
-        hooks = self.net._beacon_hooks
-        batch_hooks = self.net._beacon_batch_hooks
+        hooks = self.net.sim.probe.beacon
+        batch_hooks = self.net.sim.probe.beacon_batch
         n_delivered = 0
         F_parts: List[np.ndarray] = []
         R_parts: List[np.ndarray] = []

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict
 
+from ..sim.probe import Probe
+
 
 def repeated_add(total: float, cost: float, count: int) -> float:
     """The float ``count`` scalar additions of ``cost`` onto ``total``
@@ -143,10 +145,11 @@ class EnergyLedger:
         self.capacity_j = capacity_j
         self.on_depleted = on_depleted
         self._depleted: set = set()
-        #: optional pure observer called as ``fn(node_id, kind, cost)`` for
-        #: every charge (kind is "tx" | "rx" | "idle").  Used by
-        #: ``repro.validate`` to shadow the accounts; None costs nothing.
-        self.observer = None
+        #: every charge is emitted as ``fn(node_id, kind, cost)`` (kind is
+        #: "tx" | "rx" | "idle") on this probe channel; a network rebinds
+        #: its two ledgers to its simulator's probe (:meth:`emit_on`)
+        self.probe = Probe()
+        self.channel = "charge"
         # Running network-wide total, advanced once per charge, so
         # snapshot()/since() are O(1) — the service layer checkpoints the
         # ledger around every query.  Deterministic (charges apply in a
@@ -162,6 +165,16 @@ class EnergyLedger:
         #: read funnels through :meth:`account`, materializing at this
         #: gateway reproduces the eager per-epoch field order exactly.
         self.lazy_source = None
+
+    def emit_on(self, probe: Probe, channel: str) -> None:
+        """Emit this ledger's charges on ``probe``'s ``channel``."""
+        self.probe = probe
+        self.channel = channel
+
+    @property
+    def observed(self) -> bool:
+        """True while the ledger's probe channel has subscribers."""
+        return bool(getattr(self.probe, self.channel))
 
     def set_battery(self, capacity_j: float, on_depleted) -> None:
         """Arm per-node battery enforcement."""
@@ -209,8 +222,10 @@ class EnergyLedger:
         cost = self.model.tx_cost(bits, distance_m)
         self.account(node_id).tx_j += cost
         self._running_j += cost
-        if self.observer is not None:
-            self.observer(node_id, "tx", cost)
+        subs = getattr(self.probe, self.channel)
+        if subs:
+            for fn in subs:
+                fn(node_id, "tx", cost)
         self._check_battery(node_id)
         return cost
 
@@ -218,8 +233,10 @@ class EnergyLedger:
         cost = self.model.rx_cost(bits)
         self.account(node_id).rx_j += cost
         self._running_j += cost
-        if self.observer is not None:
-            self.observer(node_id, "rx", cost)
+        subs = getattr(self.probe, self.channel)
+        if subs:
+            for fn in subs:
+                fn(node_id, "rx", cost)
         self._check_battery(node_id)
         return cost
 
@@ -230,10 +247,11 @@ class EnergyLedger:
         Fast path for the batched beacon kernel: the per-charge cost is a
         constant, and the blocked closed form of :func:`repeated_add` is
         bitwise-identical to ``count`` separate ``charge_tx`` calls on the
-        same account field.  Refuses to run when an observer or battery is
-        armed — those need the chronological per-charge path.
+        same account field.  Refuses to run when the ledger's probe channel
+        has subscribers or a battery is armed — those need the
+        chronological per-charge path.
         """
-        if self.observer is not None or self.capacity_j is not None:
+        if self.observed or self.capacity_j is not None:
             raise ValueError(
                 "bulk charging is only valid without observer/battery")
         cost = self.model.tx_cost(bits, distance_m)
@@ -246,7 +264,7 @@ class EnergyLedger:
                            count: int) -> float:
         """Charge ``count`` identical receptions in one call (see
         :meth:`charge_tx_repeated` for the equivalence argument)."""
-        if self.observer is not None or self.capacity_j is not None:
+        if self.observed or self.capacity_j is not None:
             raise ValueError(
                 "bulk charging is only valid without observer/battery")
         cost = self.model.rx_cost(bits)
@@ -266,8 +284,10 @@ class EnergyLedger:
         cost = self.model.idle_cost(seconds)
         self.account(node_id).idle_j += cost
         self._running_j += cost
-        if self.observer is not None:
-            self.observer(node_id, "idle", cost)
+        subs = getattr(self.probe, self.channel)
+        if subs:
+            for fn in subs:
+                fn(node_id, "idle", cost)
         self._check_battery(node_id)
         return cost
 

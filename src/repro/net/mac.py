@@ -96,15 +96,9 @@ class MacLayer:
         #: only ``loss_overlay`` is set, batched mode falls back to it
         #: (evaluated at flush time — documented divergence).
         self.loss_overlay_at: Optional[Callable[[float], float]] = None
-        #: optional pure observer called as ``fn(kind, value)`` — kinds:
-        #: "backoff_s" (chosen CSMA backoff) and "queue_s" (sender
-        #: serialization delay).  Used by ``repro.obs``; must not draw
-        #: RNG or schedule events; None costs nothing.
-        self.obs_hook: Optional[Callable[[str, float], None]] = None
-        #: optional flight recorder (repro.obs.FlightRecorder): trouble
-        #: frames (losses, retries, exhausted ARQ) land in its ring as
-        #: structured notes; None costs one comparison per frame.
-        self.flight = None
+        # Backoff/queueing samples go out on the probe's ``mac_sample``
+        # channel, trouble frames (losses, exhausted ARQ) on ``mac_frame``.
+        self._probe = sim.probe
         # Active transmissions, bucketed by position at interference-range
         # cell size with lazy end-time expiry (see repro.net.txindex);
         # supports append/len/iteration like the flat list it replaced.
@@ -249,8 +243,10 @@ class MacLayer:
                           self._sender_busy_until.get(sender, 0.0) - now)
         airtime = self.radio.airtime(message.size_bytes)
         self._sender_busy_until[sender] = now + queue_delay + airtime
-        if self.obs_hook is not None and queue_delay > 0.0:
-            self.obs_hook("queue_s", queue_delay)
+        sample = self._probe.mac_sample
+        if sample and queue_delay > 0.0:
+            for fn in sample:
+                fn("queue_s", queue_delay)
 
         if queue_delay > 0.0:
             self.sim.schedule_in(
@@ -294,8 +290,8 @@ class MacLayer:
                           attempt: int) -> None:
         self._prune_active()
         backoff = self.backoff_delay(sender_pos)
-        if self.obs_hook is not None:
-            self.obs_hook("backoff_s", backoff)
+        for fn in self._probe.mac_sample:
+            fn("backoff_s", backoff)
 
         def _begin() -> None:
             self._do_transmit(sender, sender_pos, message, receivers,
@@ -355,13 +351,11 @@ class MacLayer:
 
         delay = airtime + self.radio.propagation_delay_s
 
-        if self.flight is not None and (lost_ch or lost_col):
-            # Only trouble frames reach the ring; a clean delivery costs
-            # the single ``is not None`` comparison above.
-            self.flight.note(start, "mac", kind=message.kind,
-                             sender=sender, dst=message.dst,
-                             lost_channel=lost_ch, lost_collision=lost_col,
-                             attempt=attempt)
+        if lost_ch or lost_col:
+            for fn in self._probe.mac_frame:
+                fn(start, kind=message.kind, sender=sender,
+                   dst=message.dst, lost_channel=lost_ch,
+                   lost_collision=lost_col, attempt=attempt)
 
         if message.is_broadcast:
             if delivered_to:
@@ -398,10 +392,9 @@ class MacLayer:
             return
 
         self.stats.unicast_failures += 1
-        if self.flight is not None:
-            self.flight.note(start, "mac", kind=message.kind,
-                             sender=sender, dst=message.dst,
-                             arq_exhausted=True, attempts=attempt + 1)
+        for fn in self._probe.mac_frame:
+            fn(start, kind=message.kind, sender=sender, dst=message.dst,
+               arq_exhausted=True, attempts=attempt + 1)
         if on_unicast_fail is not None:
             self.sim.schedule_in(delay + cfg.retry_timeout_s,
                                  lambda: on_unicast_fail(message))

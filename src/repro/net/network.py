@@ -74,6 +74,8 @@ class Network:
         self.energy_model = energy or EnergyModel()
         self.ledger = EnergyLedger(self.energy_model)          # protocol traffic
         self.beacon_ledger = EnergyLedger(self.energy_model)   # beacon traffic
+        self.ledger.emit_on(sim.probe, "charge")
+        self.beacon_ledger.emit_on(sim.probe, "beacon_charge")
         self.mac = MacLayer(sim, self.radio, self.ledger, mac_config)
         self._beacon_mac = MacLayer(sim, self.radio, self.beacon_ledger,
                                     mac_config, rng_stream="mac.beacon")
@@ -95,9 +97,6 @@ class Network:
         self._beacon_muted: set = set()
         self._sweep_task: Optional[PeriodicTask] = None
         self.neighbor_evictions = 0
-        self._trace_hooks: List[Callable[[str, Message, int], None]] = []
-        self._beacon_hooks: List[Callable[[int, int, float], None]] = []
-        self._beacon_batch_hooks: List[Callable[[int], None]] = []
 
     # -- population ----------------------------------------------------------
 
@@ -200,34 +199,6 @@ class Network:
         nid = self._grid.nearest(position, exclude=exclude)
         return self.nodes[nid]
 
-    # -- tracing -------------------------------------------------------------
-
-    def add_trace_hook(self,
-                       hook: Callable[[str, Message, int], None]) -> None:
-        """Register a hook called as ``hook(event, message, node_id)`` for
-        ``"send"`` and ``"deliver"`` events (used by the visualizer)."""
-        self._trace_hooks.append(hook)
-
-    def _trace(self, event: str, message: Message, node_id: int) -> None:
-        for hook in self._trace_hooks:
-            hook(event, message, node_id)
-
-    def add_beacon_hook(self,
-                        hook: Callable[[int, int, float], None]) -> None:
-        """Register a hook called as ``hook(receiver_id, src_id, time)``
-        for every delivered beacon (used by the validation layer to vouch
-        for neighbor-table entries).  Hooks must be pure observers."""
-        self._beacon_hooks.append(hook)
-
-    def add_beacon_batch_hook(self,
-                              hook: Callable[[int], None]) -> None:
-        """Register an aggregate hook called as ``hook(count)`` once per
-        delivery batch.  A per-pair hook costs one Python call per
-        delivered beacon inside the vectorized engine; observers that
-        only need totals (telemetry's delivery counter) must use this
-        instead.  Hooks must be pure observers."""
-        self._beacon_batch_hooks.append(hook)
-
     # -- beacons -------------------------------------------------------------
 
     def _beacons_running(self) -> bool:
@@ -317,11 +288,11 @@ class Network:
         node = self.nodes.get(receiver_id)
         if node is None or not node.alive:
             return
-        if self._beacon_hooks:
-            for hook in self._beacon_hooks:
-                hook(receiver_id, message.src, self.sim.now)
-        for hook in self._beacon_batch_hooks:
-            hook(1)
+        probe = self.sim.probe
+        for fn in probe.beacon:
+            fn(receiver_id, message.src, self.sim.now)
+        for fn in probe.beacon_batch:
+            fn(1)
         node.observe_beacon(message.src, message.payload["pos"],
                             message.payload["speed"], self.sim.now,
                             velocity=message.payload["vel"])
@@ -397,7 +368,10 @@ class Network:
         # shadowing) are applied here.
         receivers = self._receivers_for(sender.id, pos)
         self.stats.messages_sent += 1
-        self._trace("send", message, sender.id)
+        trace = self.sim.probe.trace
+        if trace:
+            for fn in trace:
+                fn("send", message, sender.id)
         self.mac.transmit(sender.id, pos, message, receivers,
                           deliver=self._deliver, on_unicast_fail=on_fail)
 
@@ -406,7 +380,10 @@ class Network:
         if node is None or not node.alive:
             return
         self.stats.deliveries += 1
-        self._trace("deliver", message, receiver_id)
+        trace = self.sim.probe.trace
+        if trace:
+            for fn in trace:
+                fn("deliver", message, receiver_id)
         node.handle(message)
 
     # -- protocol helpers ----------------------------------------------------

@@ -16,7 +16,8 @@ Layers, bottom-up:
   burn-rate alerting over rolling sim-time windows;
 * :mod:`.postmortem` — causal root-cause attribution over the recorded
   artifacts (the ``repro explain`` engine);
-* :mod:`.telemetry` — the hub attaching all of the above to a run;
+* :mod:`.telemetry` — the hub subscribing all of the above to a run's
+  probe (:mod:`repro.sim.probe`);
 * :mod:`.exporters` — JSONL / CSV / Chrome-trace (Perfetto) output.
 
 Everything is strictly observational: attaching telemetry never changes

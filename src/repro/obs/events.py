@@ -110,7 +110,8 @@ def entry_from_wire(data: dict) -> TraceEntry:
 
 
 class TraceLog:
-    """In-memory structured trace attached to a network."""
+    """In-memory structured trace of a network's messages (a subscriber
+    of its simulator probe's ``trace`` channel)."""
 
     def __init__(self, network: "Network",
                  kinds: Optional[Iterable[str]] = None,
@@ -129,7 +130,7 @@ class TraceLog:
         self.max_entries = max_entries
         self.entries: List[TraceEntry] = []
         self.truncated = False
-        network.add_trace_hook(self._hook)
+        network.sim.probe.subscribe("trace", self._hook)
 
     def _hook(self, event: str, message: Message, node_id: int) -> None:
         if len(self.entries) >= self.max_entries:
@@ -145,10 +146,8 @@ class TraceLog:
             query_id=_query_id_of(message)))
 
     def detach(self) -> None:
-        """Stop recording (removes the network hook; idempotent)."""
-        hooks = self.network._trace_hooks
-        if self._hook in hooks:
-            hooks.remove(self._hook)
+        """Stop recording (unsubscribes from the probe; idempotent)."""
+        self.network.sim.probe.unsubscribe("trace", self._hook)
 
     # -- queries --------------------------------------------------------------
 

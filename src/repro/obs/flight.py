@@ -15,9 +15,10 @@ ring, and optionally the full-fidelity span trees the tail sampler
 promoted for the triggering query.  Paths ending in ``.gz`` are
 gzip-compressed transparently.
 
-Install on a simulator (and optionally a MAC layer) with
-:meth:`FlightRecorder.install`; both taps are the usual None-guarded
-attributes, so an uninstalled run pays one comparison per event.
+:meth:`FlightRecorder.install` subscribes the recorder to the
+simulator probe's ``kernel`` channel (and, with a MAC layer, to
+``mac_frame``); an uninstalled run pays one empty-channel test per
+event.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class FlightRecorder:
         self.triggers: List[dict] = []
         self.dumps_written: List[str] = []
         self._sim = None
-        self._mac = None
+        self._taps: List[tuple] = []
 
     # -- recording (hot paths) ------------------------------------------
 
@@ -59,33 +60,37 @@ class FlightRecorder:
         self.recorded += 1
 
     def note(self, time: float, category: str, **fields) -> None:
-        """Structured tap for MAC decisions and service transitions."""
+        """Structured tap for service transitions."""
         self._ring.append((time, category, None, fields))
         self.recorded += 1
+
+    def note_mac(self, time: float, **fields) -> None:
+        """MAC tap: one trouble frame (loss or exhausted ARQ)."""
+        self.note(time, "mac", **fields)
 
     # -- installation ---------------------------------------------------
 
     def install(self, sim, mac=None) -> "FlightRecorder":
-        """Attach to a simulator's (and optionally a MAC layer's)
-        None-guarded ``flight`` slot; registers for violation notify."""
-        sim.flight = self
+        """Subscribe to ``sim``'s kernel events (and, when a MAC layer
+        of it is given, to its trouble frames); registers for violation
+        notify."""
+        if self._sim is not None:
+            raise RuntimeError("flight recorder is already installed")
         self._sim = sim
+        self._taps = [("kernel", self.record_event)]
         if mac is not None:
-            mac.flight = self
-            self._mac = mac
+            self._taps.append(("mac_frame", self.note_mac))
+        for channel, tap in self._taps:
+            sim.probe.subscribe(channel, tap)
         if self not in _ACTIVE:
             _ACTIVE.append(self)
         return self
 
     def uninstall(self) -> None:
-        if self._sim is not None and getattr(self._sim, "flight",
-                                             None) is self:
-            self._sim.flight = None
-        if self._mac is not None and getattr(self._mac, "flight",
-                                             None) is self:
-            self._mac.flight = None
+        if self._sim is not None:
+            for channel, tap in self._taps:
+                self._sim.probe.unsubscribe(channel, tap)
         self._sim = None
-        self._mac = None
         if self in _ACTIVE:
             _ACTIVE.remove(self)
 

@@ -66,8 +66,9 @@ class HandlerStats:
 class KernelProfiler:
     """Per-handler-type wall-clock accounting for a :class:`Simulator`.
 
-    Install with :meth:`install` (sets ``sim.profiler``); the kernel then
-    times every event callback through :meth:`record`.
+    :meth:`install` subscribes :meth:`record` to the simulator probe's
+    ``kernel_timed`` channel; the kernel then times every event callback
+    and reports it there.
     """
 
     def __init__(self) -> None:
@@ -80,18 +81,18 @@ class KernelProfiler:
     # -- lifecycle ------------------------------------------------------
 
     def install(self, sim) -> "KernelProfiler":
-        if sim.profiler is not None:
-            raise RuntimeError("simulator already has a profiler")
-        sim.profiler = self
+        if self._sim is not None:
+            raise RuntimeError("profiler is already installed")
+        sim.probe.subscribe("kernel_timed", self.record)
         self._sim = sim
         return self
 
     def uninstall(self) -> None:
-        if self._sim is not None and self._sim.profiler is self:
-            self._sim.profiler = None
+        if self._sim is not None:
+            self._sim.probe.unsubscribe("kernel_timed", self.record)
         self._sim = None
 
-    # -- recording (called by the kernel) -------------------------------
+    # -- recording (the kernel_timed channel) ---------------------------
 
     def record(self, callback, elapsed_s: float) -> None:
         # Cache labels by code-object id: closures are re-created per

@@ -1,13 +1,17 @@
 """The telemetry hub: one object wiring spans, metrics, raw events and
 the kernel profiler to a running simulation.
 
-``Telemetry`` is opt-in and zero-cost when off: every hook point in the
-substrate (simulator, MAC, router, protocol, itinerary builder) is a
-``None``-guarded attribute, so an unattached run pays one comparison per
-event.  All attached callbacks are *pure observers* — they never draw
-randomness, schedule events or mutate simulation state — so an
-instrumented run is bit-identical to an uninstrumented one (the
-golden-trace determinism suite enforces this).
+``Telemetry`` is opt-in and zero-cost when off: it subscribes to the
+simulator's probe (``sim.probe``: the ``mac_sample``, ``beacon_batch``,
+``charge``, ``route``, ``protocol`` and ``itinerary`` channels, plus
+``trace`` and ``kernel_timed`` through its trace log and profiler), and
+an empty channel costs one test per emission site.  ``detach`` removes
+exactly those subscriptions, so other subscribers (a validation harness,
+a second telemetry) keep theirs whatever the detach order.  All
+subscribers are *pure observers* — they never draw randomness, schedule
+events or mutate simulation state — so an instrumented run is
+bit-identical to an uninstrumented one (the golden-trace determinism
+suite enforces this).
 
 Enable per-process with :func:`enable_observability` (the CLI's ``--obs``
 flag); ``build_simulation`` then attaches a ``Telemetry`` to every handle
@@ -51,9 +55,7 @@ class Telemetry:
         self._max_staged = max_staged
         self._sim = None
         self._network = None
-        self._router = None
-        self._protocol = None
-        self._prev_ledger_observer = None
+        self._subscriptions: List[Tuple[str, object]] = []
         self._finalized = False
         # span bookkeeping: open span ids by role
         self._root: Dict[int, int] = {}
@@ -66,8 +68,8 @@ class Telemetry:
         # geometric query point per query id, kept so home_reached can
         # report the anchor displacement (declared home vs. target)
         self._qpoint: Dict[int, Tuple[float, float]] = {}
-        # Hot-path observer caches: the MAC/ledger/beacon hooks fire per
-        # frame sample / charge / delivery batch, so the metric objects
+        # Hot-path caches: the mac_sample/charge/beacon_batch channels fire
+        # per frame sample / charge / delivery batch, so the metric objects
         # are resolved once instead of a registry lookup per call.
         self._beacons_delivered = self.metrics.counter(
             "net.beacons.delivered")
@@ -83,13 +85,12 @@ class Telemetry:
         return self._sim is not None
 
     def attach(self, sim, network, protocol=None, router=None) -> None:
-        """Install observation hooks on a built simulation."""
+        """Subscribe to a built simulation's probe; ``protocol`` and
+        ``router`` switch on the ``protocol`` and ``route`` channels."""
         if self._sim is not None:
             raise RuntimeError("telemetry is already attached")
         self._sim = sim
         self._network = network
-        self._router = router
-        self._protocol = protocol
         if self._trace_events:
             self.events = TraceLog(network)
         if self.profiler is not None:
@@ -100,17 +101,16 @@ class Telemetry:
                                max_staged=self._max_staged),
                 sim.rng.stream(SAMPLING_STREAM), self.metrics,
                 self.spans)
-        network.add_beacon_batch_hook(self._on_beacon_batch)
-        network.mac.obs_hook = self._on_mac
-        # Chain behind any observer the validation layer installed.
-        self._prev_ledger_observer = network.ledger.observer
-        network.ledger.observer = self._on_charge
+        self._subscriptions = [("beacon_batch", self._on_beacon_batch),
+                               ("mac_sample", self._on_mac),
+                               ("charge", self._on_charge),
+                               ("itinerary", self._on_itinerary_build)]
         if router is not None:
-            router.obs = self
+            self._subscriptions.append(("route", self))
         if protocol is not None:
-            protocol.obs = self
-        from ..core import itinerary
-        itinerary.set_build_observer(self._on_itinerary_build)
+            self._subscriptions.append(("protocol", self))
+        for channel, subscriber in self._subscriptions:
+            sim.probe.subscribe(channel, subscriber)
 
     def attach_handle(self, handle) -> None:
         """Attach to a :class:`~repro.experiments.config.SimulationHandle`."""
@@ -118,29 +118,16 @@ class Telemetry:
                     protocol=handle.protocol, router=handle.router)
 
     def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
+        """Remove every subscription :meth:`attach` made (idempotent)."""
         if self._sim is None:
             return
         if self.events is not None:
             self.events.detach()
         if self.profiler is not None:
             self.profiler.uninstall()
-        # Bound methods are recreated per attribute access, so these
-        # slots compare with == (method equality), never ``is``.
-        hooks = self._network._beacon_batch_hooks
-        if self._on_beacon_batch in hooks:
-            hooks.remove(self._on_beacon_batch)
-        if self._network.mac.obs_hook == self._on_mac:
-            self._network.mac.obs_hook = None
-        if self._network.ledger.observer == self._on_charge:
-            self._network.ledger.observer = self._prev_ledger_observer
-        if self._router is not None and self._router.obs is self:
-            self._router.obs = None
-        if self._protocol is not None and self._protocol.obs is self:
-            self._protocol.obs = None
-        from ..core import itinerary
-        if itinerary._build_observer == self._on_itinerary_build:
-            itinerary.set_build_observer(None)
+        for channel, subscriber in self._subscriptions:
+            self._sim.probe.unsubscribe(channel, subscriber)
+        self._subscriptions = []
         self._sim = None
 
     def finalize(self) -> None:
@@ -200,15 +187,13 @@ class Telemetry:
             counter = self._charge_counters[kind] = \
                 self.metrics.counter(f"energy.{kind}_j")
         counter.inc(cost)
-        if self._prev_ledger_observer is not None:
-            self._prev_ledger_observer(node_id, kind, cost)
 
     def _on_itinerary_build(self, itinerary) -> None:
         self.metrics.counter("itinerary.builds").inc()
         self.metrics.histogram("itinerary.waypoints").observe(
             len(itinerary.waypoints))
 
-    # -- router observer (GpsrRouter.obs) -------------------------------
+    # -- probe ``route`` channel (GPSR) ---------------------------------
 
     def route_hop(self, inner_kind: str, perimeter: bool) -> None:
         self.metrics.counter("gpsr.forwards").inc()

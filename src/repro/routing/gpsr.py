@@ -69,10 +69,9 @@ class GpsrRouter(Router):
         self.drops = 0
         self.drop_reasons: Dict[str, int] = {}
         self.deliveries = 0
-        #: optional pure routing observer (repro.obs); called on hop
-        #: forwards, link retries, deliveries and drops.  None costs a
-        #: single attribute check per event.
-        self.obs = None
+        # Hop forwards, link retries, mode flips, deliveries and drops go
+        # out on the probe's ``route`` channel.
+        self._probe = network.sim.probe
         network.register_handler(self.KIND, self._handle)
 
     # -- registration --------------------------------------------------------
@@ -258,15 +257,15 @@ class GpsrRouter(Router):
         state["prev_id"] = node.id
         state["route_hops"] += 1
         state["trace"].append(next_id)
-        if self.obs is not None:
-            self.obs.route_hop(state["inner_kind"],
-                               perimeter=(state["mode"] == _PERIMETER))
+        for obs in self._probe.route:
+            obs.route_hop(state["inner_kind"],
+                          perimeter=(state["mode"] == _PERIMETER))
 
         def _on_fail(_msg: Message) -> None:
             # Stale neighbor: evict and re-route from this node.
             node.forget_neighbor(next_id)
-            if self.obs is not None:
-                self.obs.route_link_retry(state["inner_kind"])
+            for obs in self._probe.route:
+                obs.route_link_retry(state["inner_kind"])
             state["prev_id"] = None
             state["route_hops"] -= 1
             state["trace"].pop()
@@ -307,18 +306,18 @@ class GpsrRouter(Router):
     def _note_mode(self, node: SensorNode, state: Dict[str, Any],
                    old: str, new: str, dist_m: float) -> None:
         """Pure observer note of a greedy<->perimeter transition."""
-        if self.obs is not None:
-            self.obs.route_mode(state["inner_kind"],
-                                state["inner"].get("query_id"),
-                                node.id, old, new, dist_m,
-                                self.network.sim.now)
+        for obs in self._probe.route:
+            obs.route_mode(state["inner_kind"],
+                           state["inner"].get("query_id"),
+                           node.id, old, new, dist_m, self.network.sim.now)
 
     def _deliver(self, node: SensorNode, state: Dict[str, Any],
                  anchor_reason: Optional[str] = None) -> None:
         self.deliveries += 1
-        if self.obs is not None:
-            self.obs.route_delivered(state["inner_kind"],
-                                     state["route_hops"])
+        route = self._probe.route
+        if route:
+            for obs in route:
+                obs.route_delivered(state["inner_kind"], state["route_hops"])
             if anchor_reason is not None and state["dst_id"] is None:
                 # Route-to-location terminal: this node declares itself
                 # the home anchor.  Report how it got there (greedy local
@@ -328,10 +327,11 @@ class GpsrRouter(Router):
                 offset = node.position().distance_to(state["dst_pos"])
                 mode = ("perimeter" if state["mode"] == _PERIMETER
                         else "greedy")
-                self.obs.route_anchor(state["inner_kind"],
-                                      state["inner"].get("query_id"),
-                                      node.id, offset, mode, anchor_reason,
-                                      self.network.sim.now)
+                for obs in route:
+                    obs.route_anchor(state["inner_kind"],
+                                     state["inner"].get("query_id"),
+                                     node.id, offset, mode, anchor_reason,
+                                     self.network.sim.now)
         self._drop_handlers.pop(state["route_id"], None)
         handler = self._delivery.get(state["inner_kind"])
         if handler is not None:
@@ -344,8 +344,8 @@ class GpsrRouter(Router):
               reason: str) -> None:
         self.drops += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        if self.obs is not None:
-            self.obs.route_dropped(state["inner_kind"], reason)
+        for obs in self._probe.route:
+            obs.route_dropped(state["inner_kind"], reason)
         on_drop = self._drop_handlers.pop(state["route_id"], None)
         if on_drop is not None:
             on_drop(dict(state["inner"]), node)

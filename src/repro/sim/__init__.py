@@ -1,12 +1,14 @@
-"""Discrete-event simulation kernel: scheduler, RNG streams, errors."""
+"""Discrete-event simulation kernel: scheduler, observation probe, RNG
+streams, errors."""
 
 from .engine import EventHandle, PeriodicTask, Simulator
 from .errors import (ConfigurationError, QueryError, ReproError,
                      RoutingError, SimulationError)
+from .probe import Probe
 from .rng import RngRegistry
 
 __all__ = [
-    "EventHandle", "PeriodicTask", "Simulator", "ConfigurationError",
+    "EventHandle", "PeriodicTask", "Probe", "Simulator", "ConfigurationError",
     "QueryError", "ReproError", "RoutingError", "SimulationError",
     "RngRegistry",
 ]

@@ -4,6 +4,10 @@ A classic event-list kernel: callbacks scheduled at absolute simulated times,
 executed in (time, sequence) order so simultaneous events run in scheduling
 order.  This is the substrate everything else (MAC, beacons, protocol
 timers) is built on — the reproduction's stand-in for ns-2's scheduler.
+
+Each simulator owns one :class:`~repro.sim.probe.Probe` (``sim.probe``),
+which every observer of the run subscribes to; the kernel emits on its
+``kernel`` and ``kernel_timed`` channels around each event.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from time import perf_counter
 from typing import Callable, List, Optional
 
 from .errors import SimulationError
+from .probe import Probe
 from .rng import RngRegistry
 
 EventCallback = Callable[[], None]
@@ -61,31 +66,8 @@ class Simulator:
         self._events_executed = 0
         self._running = False
         self._stop_requested = False
-        # Pure observers called as fn(event_time) after the clock advances
-        # and before the callback runs.  Observers must not schedule events
-        # or draw RNG (repro.validate relies on this to stay side-effect
-        # free); with none registered the execution path is unchanged.
-        self._observers: List[Callable[[float], None]] = []
-        # Optional wall-clock accountant (repro.obs.KernelProfiler): when
-        # set, every callback is timed with perf_counter.  The profiler
-        # only reads the wall clock — never the seeded RNG — so results
-        # stay bit-identical with or without it.
-        self.profiler = None
-        # Optional flight recorder (repro.obs.FlightRecorder): when set,
-        # every executed event lands in its bounded ring — one deque
-        # append, labels resolved only at dump time.
-        self.flight = None
-
-    # -- observation ---------------------------------------------------------
-
-    def add_event_observer(self, observer: Callable[[float], None]) -> None:
-        """Register a read-only observer of event execution."""
-        self._observers.append(observer)
-
-    def remove_event_observer(self, observer: Callable[[float], None]) -> None:
-        """Unregister an observer; a no-op if it is not registered."""
-        if observer in self._observers:
-            self._observers.remove(observer)
+        #: the run's observation channels (see repro.sim.probe)
+        self.probe = Probe()
 
     # -- scheduling ----------------------------------------------------------
 
@@ -120,25 +102,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event. Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.now = event.time
-            self._events_executed += 1
-            if self._observers:
-                for observer in self._observers:
-                    observer(event.time)
-            if self.flight is not None:
-                self.flight.record_event(event.time, event.callback)
-            if self.profiler is not None:
-                t0 = perf_counter()
-                event.callback()
-                self.profiler.record(event.callback, perf_counter() - t0)
-            else:
-                event.callback()
-            return True
-        return False
+        before = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed > before
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -153,6 +119,7 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         executed = 0
+        probe = self.probe
         try:
             while self._queue:
                 event = self._queue[0]
@@ -167,16 +134,17 @@ class Simulator:
                 self.now = event.time
                 self._events_executed += 1
                 executed += 1
-                if self._observers:
-                    for observer in self._observers:
-                        observer(event.time)
-                if self.flight is not None:
-                    self.flight.record_event(event.time, event.callback)
-                if self.profiler is not None:
+                kernel = probe.kernel
+                if kernel:
+                    for fn in kernel:
+                        fn(event.time, event.callback)
+                timed = probe.kernel_timed
+                if timed:
                     t0 = perf_counter()
                     event.callback()
-                    self.profiler.record(event.callback,
-                                         perf_counter() - t0)
+                    elapsed = perf_counter() - t0
+                    for fn in timed:
+                        fn(event.callback, elapsed)
                 else:
                     event.callback()
                 if self._stop_requested:

@@ -68,10 +68,11 @@ class ValidationContext:
 class Checker:
     """One invariant family.
 
-    Lifecycle: ``attach`` installs observation hooks, ``checkpoint`` runs
-    the (possibly expensive) consistency sweep, ``finalize`` adds
-    end-of-run-only checks, ``detach`` removes the hooks.  Hook callbacks
-    may raise :class:`InvariantViolation` immediately for cheap per-event
+    Lifecycle: ``attach`` subscribes to the simulator's probe channels,
+    ``checkpoint`` runs the (possibly expensive) consistency sweep,
+    ``finalize`` adds end-of-run-only checks, ``detach`` removes exactly
+    those subscriptions.  Subscribed callbacks may raise
+    :class:`InvariantViolation` immediately for cheap per-event
     invariants.
     """
 
@@ -82,7 +83,7 @@ class Checker:
         self.checks_run = 0
 
     def attach(self, ctx: ValidationContext) -> None:
-        """Install observation hooks."""
+        """Subscribe to probe channels."""
 
     def checkpoint(self, ctx: ValidationContext) -> None:
         """Sweep current state for violations."""
@@ -91,7 +92,7 @@ class Checker:
         """End-of-run checks (after the event queue has settled)."""
 
     def detach(self, ctx: ValidationContext) -> None:
-        """Remove hooks installed by :meth:`attach`."""
+        """Remove the subscriptions :meth:`attach` made."""
 
     def fail(self, detail: str, node: Optional[int] = None,
              time: Optional[float] = None,

@@ -57,12 +57,12 @@ class CausalityChecker(Checker):
     def attach(self, ctx: ValidationContext) -> None:
         self._sim = ctx.sim
         self._last_time = ctx.sim.now
-        ctx.sim.add_event_observer(self.on_event)
+        ctx.sim.probe.subscribe("kernel", self.on_event)
 
     def detach(self, ctx: ValidationContext) -> None:
-        ctx.sim.remove_event_observer(self.on_event)
+        ctx.sim.probe.unsubscribe("kernel", self.on_event)
 
-    def on_event(self, event_time: float) -> None:
+    def on_event(self, event_time: float, _callback) -> None:
         self.checks_run += 1
         if not math.isfinite(event_time):
             self.fail(f"event executed at non-finite time {event_time!r}",
@@ -104,7 +104,8 @@ class EnergyChecker(Checker):
         # ledger tag -> node -> {"tx": j, "rx": j, "idle": j}
         self._shadow: Dict[str, Dict[int, Dict[str, float]]] = {}
         self._baseline: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
-        self._chained: Dict[str, object] = {}
+        # ledger tag -> the charge observer subscribed for it
+        self._taps: Dict[str, object] = {}
 
     def attach(self, ctx: ValidationContext) -> None:
         self._sim = ctx.sim
@@ -119,16 +120,16 @@ class EnergyChecker(Checker):
             self._baseline[tag] = {
                 nid: (acct.tx_j, acct.rx_j, acct.idle_j)
                 for nid, acct in ledger._accounts.items()}
-            self._chained[tag] = ledger.observer
-            ledger.observer = self._make_observer(tag)
+            self._taps[tag] = self._make_observer(tag)
+            ledger.probe.subscribe(ledger.channel, self._taps[tag])
 
     def detach(self, ctx: ValidationContext) -> None:
         for tag, ledger in self._ledgers:
-            ledger.observer = self._chained.get(tag)
+            tap = self._taps.pop(tag, None)
+            ledger.probe.unsubscribe(ledger.channel, tap)
 
     def _make_observer(self, tag: str):
         shadow = self._shadow[tag]
-        chained = self._chained[tag]
 
         def _observe(node_id: int, kind: str, cost: float) -> None:
             self.checks_run += 1
@@ -141,8 +142,6 @@ class EnergyChecker(Checker):
                 acct = {"tx": 0.0, "rx": 0.0, "idle": 0.0}
                 shadow[node_id] = acct
             acct[kind] += cost
-            if chained is not None:
-                chained(node_id, kind, cost)
 
         return _observe
 
@@ -196,12 +195,10 @@ class NeighborTableChecker(Checker):
         for node in ctx.network.nodes.values():
             for nbr_id, entry in node.neighbor_table.items():
                 self._baseline[(node.id, nbr_id)] = entry.heard_at
-        ctx.network.add_beacon_hook(self.on_beacon)
+        ctx.sim.probe.subscribe("beacon", self.on_beacon)
 
     def detach(self, ctx: ValidationContext) -> None:
-        hooks = ctx.network._beacon_hooks
-        if self.on_beacon in hooks:
-            hooks.remove(self.on_beacon)
+        ctx.sim.probe.unsubscribe("beacon", self.on_beacon)
 
     def on_beacon(self, receiver_id: int, src_id: int, time: float) -> None:
         self._delivered[(receiver_id, src_id)] = time
@@ -263,12 +260,10 @@ class MacSanityChecker(Checker):
 
     def attach(self, ctx: ValidationContext) -> None:
         self._network = ctx.network
-        ctx.network.add_trace_hook(self.on_trace)
+        ctx.sim.probe.subscribe("trace", self.on_trace)
 
     def detach(self, ctx: ValidationContext) -> None:
-        hooks = ctx.network._trace_hooks
-        if self.on_trace in hooks:
-            hooks.remove(self.on_trace)
+        ctx.sim.probe.unsubscribe("trace", self.on_trace)
 
     def on_trace(self, event: str, message, node_id: int) -> None:
         self.checks_run += 1

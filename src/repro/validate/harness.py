@@ -2,10 +2,12 @@
 
 The harness is opt-in and zero-cost when off: nothing here is imported or
 called unless validation was enabled (``--validate`` on the CLI, or
-:func:`enable_validation` in code), and the substrate's hook points are
-all guarded no-ops when no observer is installed.
+:func:`enable_validation` in code).  The harness and its checkers are
+subscribers of the simulator's probe (``sim.probe``); each removes
+exactly its own subscriptions on detach, so a telemetry attached to the
+same run keeps observing whichever of the two detaches first.
 
-Checkpoint cadence piggybacks on the simulator's event observer — every
+Checkpoint cadence piggybacks on the probe's ``kernel`` channel — every
 ``checkpoint_every`` executed events the harness runs each checker's
 consistency sweep.  Checkpoints never schedule events or draw randomness,
 so a validated run stays bit-identical to an unvalidated one.
@@ -53,7 +55,7 @@ class ValidationHarness:
                                       protocol=protocol, router=router)
         for checker in self.checkers:
             checker.attach(self._ctx)
-        sim.add_event_observer(self._on_event)
+        sim.probe.subscribe("kernel", self._on_event)
 
     def attach_handle(self, handle) -> None:
         """Attach to a :class:`~repro.experiments.config.SimulationHandle`."""
@@ -63,14 +65,14 @@ class ValidationHarness:
     def detach(self) -> None:
         if self._ctx is None:
             return
-        self._ctx.sim.remove_event_observer(self._on_event)
+        self._ctx.sim.probe.unsubscribe("kernel", self._on_event)
         for checker in self.checkers:
             checker.detach(self._ctx)
         self._ctx = None
 
     # -- checking ---------------------------------------------------------
 
-    def _on_event(self, event_time: float) -> None:
+    def _on_event(self, _time: float, _callback) -> None:
         self._events_seen += 1
         if self._events_seen % self.checkpoint_every == 0:
             self.check_now()

@@ -85,8 +85,8 @@ class TestAggregateProtocol:
             sim, net = build_static_network(seed=5)
             proto = install(net)
             seen = []
-            net.add_trace_hook(
-                lambda ev, m, nid: seen.append(m.size_bytes)
+            sim.probe.subscribe(
+                "trace", lambda ev, m, nid: seen.append(m.size_bytes)
                 if ev == "send" and m.kind == "gpsr"
                 and m.payload.get("inner_kind") == "agg.result" else None)
             window = Rect(55 - span / 2, 55 - span / 2,

@@ -163,6 +163,6 @@ class TestLedgerCheckpoints:
         with pytest.raises(ValueError):
             led.charge_tx_repeated(1, 800, 20.0, 5)
         led2 = EnergyLedger(EnergyModel())
-        led2.observer = lambda nid, kind, cost: None
+        led2.probe.subscribe(led2.channel, lambda nid, kind, cost: None)
         with pytest.raises(ValueError):
             led2.charge_rx_repeated(1, 800, 5)

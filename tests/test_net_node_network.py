@@ -200,7 +200,8 @@ class TestMessaging:
     def test_trace_hooks_see_send_and_deliver(self):
         sim, net = build_static_network(n=150)
         events = []
-        net.add_trace_hook(lambda ev, m, nid: events.append((ev, nid)))
+        sim.probe.subscribe("trace",
+                            lambda ev, m, nid: events.append((ev, nid)))
         net.register_handler("app", lambda n, m: None)
         net.nodes[0].broadcast("app", {}, 10)
         sim.run(until=sim.now + 1)

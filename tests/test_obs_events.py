@@ -85,7 +85,7 @@ def test_query_span_single_event_vs_no_events():
 def test_detach_stops_recording(static_net):
     sim, net = static_net
     log = TraceLog(net)
-    assert log._hook in net._trace_hooks
+    assert log._hook in sim.probe.trace
     log.detach()
-    assert log._hook not in net._trace_hooks
+    assert log._hook not in sim.probe.trace
     log.detach()   # idempotent

@@ -66,7 +66,7 @@ class TestInstall:
         assert all(r["category"] == "kernel" for r in rec.records())
         assert rec in active_recorders()
         rec.uninstall()
-        assert sim.flight is None
+        assert sim.probe.kernel == ()
         assert rec not in active_recorders()
         # uninstalled: further kernel events are not recorded
         sim.schedule_at(6.0, lambda: None)

@@ -10,6 +10,7 @@ from repro.experiments import SimulationConfig, build_simulation, run_workload
 from repro.obs import (Telemetry, enable_observability,
                        observability_enabled, reset_observability)
 from repro.obs.capture import capture_scenario, scenario_names
+from repro.sim.probe import CHANNELS
 
 
 @pytest.fixture(autouse=True)
@@ -97,8 +98,8 @@ class TestSwitch:
             SimulationConfig(n_nodes=25, field_size=(50.0, 50.0), seed=3,
                              max_speed=0.0), DIKNNProtocol())
         assert handle.obs is None
-        assert handle.protocol.obs is None
-        assert handle.sim.profiler is None
+        probe = handle.sim.probe
+        assert not any(getattr(probe, c) for c in CHANNELS)
 
     def test_enable_attaches_and_reset_detaches(self):
         enable_observability()
@@ -107,16 +108,17 @@ class TestSwitch:
                              max_speed=0.0), DIKNNProtocol())
         telemetry = handle.obs
         assert isinstance(telemetry, Telemetry) and telemetry.attached
-        assert handle.protocol.obs is telemetry
-        assert handle.router.obs is telemetry
-        assert handle.sim.profiler is telemetry.profiler
-        assert handle.network.mac.obs_hook is not None
+        probe = handle.sim.probe
+        assert probe.protocol == (telemetry,)
+        assert probe.route == (telemetry,)
+        assert probe.kernel_timed == (telemetry.profiler.record,)
+        assert probe.mac_sample != ()
         reset_observability()
         assert not observability_enabled()
         assert not telemetry.attached
-        assert handle.protocol.obs is None
-        assert handle.sim.profiler is None
-        assert handle.network.mac.obs_hook is None
+        assert probe.protocol == ()
+        assert probe.kernel_timed == ()
+        assert probe.mac_sample == ()
 
     def test_double_attach_rejected(self):
         handle = build_simulation(

@@ -76,7 +76,7 @@ def test_corrupted_ledger_detected(validated_handle):
 
 
 def test_negative_charge_detected(validated_handle):
-    observer = validated_handle.network.ledger.observer
+    (observer,) = validated_handle.sim.probe.charge
     with pytest.raises(InvariantViolation, match="energy-conservation"):
         observer(3, "tx", -1e-3)
 
@@ -124,13 +124,15 @@ def test_self_delivery_detected(validated_handle):
     msg = Message(kind="x", src=5, dst=5, size_bytes=10)
     with pytest.raises(InvariantViolation,
                        match="mac-sanity.*self-delivery"):
-        validated_handle.network._trace("deliver", msg, 5)
+        for fn in validated_handle.sim.probe.trace:
+            fn("deliver", msg, 5)
 
 
 def test_missstamped_send_detected(validated_handle):
     msg = Message(kind="x", src=5, dst=6, size_bytes=10)
     with pytest.raises(InvariantViolation, match="mac-sanity"):
-        validated_handle.network._trace("send", msg, 4)
+        for fn in validated_handle.sim.probe.trace:
+            fn("send", msg, 4)
 
 
 def test_undrained_airtime_detected():
@@ -181,13 +183,13 @@ def test_out_of_order_event_detected():
     checker._last_time = 5.0
     with pytest.raises(InvariantViolation,
                        match="event-causality.*causality broken"):
-        checker.on_event(4.0)
+        checker.on_event(4.0, None)
 
 
 def test_non_finite_event_time_detected():
     checker = CausalityChecker()
     with pytest.raises(InvariantViolation, match="event-causality"):
-        checker.on_event(float("nan"))
+        checker.on_event(float("nan"), None)
 
 
 # -- sector algebra ---------------------------------------------------------
