@@ -100,12 +100,12 @@ def test_perf_knnb(benchmark):
     assert benchmark(run) > 0
 
 
-def _warm_beacon_network(mode):
+def _warm_beacon_network():
     from repro.mobility import RandomWaypointMobility
     from repro.net import Network, SensorNode
 
     sim = Simulator(seed=9)
-    net = Network(sim, beacon_mode=mode)
+    net = Network(sim)
     rng = np.random.default_rng(9)
     for i, pos in enumerate(UniformDeployment().generate(200, FIELD, rng)):
         net.add_node(SensorNode(i, RandomWaypointMobility(
@@ -118,7 +118,7 @@ def test_perf_batched_beacon_epoch(benchmark):
     """One beacon interval of a warm 200-node network on the batched
     kernel: a single epoch flush replaces 200 per-node fire events."""
     benchmark.extra_info["bench_id"] = "net.batched_beacon_epoch"
-    sim, net = _warm_beacon_network("batched")
+    sim, net = _warm_beacon_network()
 
     def run():
         sim.run(until=sim.now + net.beacon_interval)
@@ -132,7 +132,7 @@ def test_perf_vectorized_oracle(benchmark):
     benchmark.extra_info["bench_id"] = "metrics.oracle_true_knn"
     from repro.metrics import true_knn
 
-    sim, net = _warm_beacon_network("batched")
+    sim, net = _warm_beacon_network()
     centers = UniformDeployment().generate(
         64, FIELD, np.random.default_rng(11))
 

@@ -35,7 +35,7 @@ from .collection import (CollectionPlan, build_precedence,
 from .dissemination import NextHop, TokenState, choose_next_qnode
 from .itinerary import SectorItinerary, full_coverage_width
 from .knnb import InfoList, count_new_neighbors, knnb_radius
-from .query import Candidate, KNNQuery, merge_candidates
+from .query import Candidate, KNNQuery, QueryResult, merge_candidates
 from .rendezvous import (SectorStats, evaluate_boundary,
                          merge_stats)
 
@@ -794,6 +794,14 @@ class DIKNNProtocol(QueryProtocol):
         for obs in self.network.sim.probe.protocol:
             obs.bundle_received(query_id, inner["sectors"],
                                 self.network.sim.now)
+        self._merge_bundle(query_id, result, inner)
+        for obs in self.network.sim.probe.protocol:
+            obs.bundle_merged(query_id, inner, node.id, self.network.sim.now)
+
+    def _merge_bundle(self, query_id: int, result: QueryResult,
+                      inner: dict) -> None:
+        """Merge one live result bundle into the sink's answer; the
+        bundle that reports the last sector completes the query."""
         new = [self._from_wire(c) for c in inner["cands"]]
         result.candidates = merge_candidates(
             result.candidates, new, result.query.point,

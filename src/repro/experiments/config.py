@@ -60,7 +60,6 @@ class SimulationConfig:
     beacon_interval: float = 0.5
     packet_loss_rate: float = 0.0
     shadowing_sigma: float = 0.0         # log-normal link irregularity
-    beacon_mode: str = "batched"         # "batched" | "legacy" beacon kernel
     seed: int = 0
     deployment: str = "uniform"
     sink_position: Optional[Tuple[float, float]] = None  # default: corner
@@ -91,9 +90,6 @@ class SimulationConfig:
                 f"choose from {sorted(_DEPLOYMENTS)}")
         if self.max_speed < 0:
             raise ConfigurationError("max_speed must be >= 0")
-        if self.beacon_mode not in ("batched", "legacy"):
-            raise ConfigurationError(
-                f"unknown beacon_mode {self.beacon_mode!r}")
         if self.crash_rate < 0:
             raise ConfigurationError("crash_rate must be >= 0")
         if self.node_downtime_s is not None and self.node_downtime_s <= 0:
@@ -170,8 +166,7 @@ def build_simulation(config: SimulationConfig,
                        base_loss_rate=config.packet_loss_rate,
                        shadowing_sigma=config.shadowing_sigma)
     network = Network(sim, radio=radio, mac_config=mac_config,
-                      beacon_interval=config.beacon_interval,
-                      beacon_mode=config.beacon_mode)
+                      beacon_interval=config.beacon_interval)
     field = config.field
     deploy_rng = sim.rng.stream("deploy")
     positions = make_deployment(config.deployment).generate(

@@ -1,23 +1,26 @@
-"""Batched beacon epoch kernel.
+"""The beacon kernel: one epoch event per beacon interval.
 
-Replaces N per-node :class:`~repro.sim.engine.PeriodicTask` beacon timers
-with ONE periodic kernel event per beacon interval.  Each epoch *flushes*
-the interval: per-node fire times are generated from the same
-``beacon.stagger`` / ``beacon.jitter.{id}`` RNG streams the legacy path
-uses, sender kinematics come from a vectorized mobility bank, receiver
-sets are resolved with a vectorized pairwise-distance filter against a
-lazily refreshed position snapshot, and neighbor-table updates plus
-beacon-energy accounting are applied in bulk.
+Every node beacons as if it ran its own
+:class:`~repro.sim.engine.PeriodicTask` — a uniform stagger from
+``beacon.stagger``, then one jittered period per fire from its
+``beacon.jitter.{id}`` stream — but the kernel schedules ONE periodic
+event per interval.  Each epoch *flushes* the interval: per-node fire
+times are replayed from those streams, sender kinematics come from a
+vectorized mobility bank, receiver sets are resolved with a vectorized
+pairwise-distance filter against a lazily refreshed position snapshot,
+and neighbor-table updates plus beacon-energy accounting are applied in
+bulk.
 
 Equivalence contract (proven executable in
-``tests/test_beacon_equivalence.py``): at every interval boundary the
-batched path produces *identical* neighbor tables, beacon counts and
-beacon-energy ledger totals to the legacy per-event path, for any mix of
-mobile/static, dead and muted nodes.  The one sanctioned divergence is
-intra-interval event interleaving (and hence golden digests), which is
-why ``flush()`` is a pure function of (state, time): any observer that
-reads mid-interval state first forces a flush, and the flush result does
-not depend on what triggered it.
+``tests/test_beacon_equivalence.py`` against the per-event reference
+model in ``tests/beacon_reference.py``): at every interval boundary the
+kernel produces *identical* neighbor tables, beacon counts and
+beacon-energy ledger totals to one event per fire and per delivered
+frame, for any mix of mobile/static, dead and muted nodes.  The one
+sanctioned divergence is intra-interval event interleaving (and hence
+golden digests), which is why ``flush()`` is a pure function of (state,
+time): any observer that reads mid-interval state first forces a flush,
+and the flush result does not depend on what triggered it.
 
 Scaling note: up to ``_DENSE_MAX`` nodes the neighbor store is a dense
 (N, N) float64 block and receiver sets come from full pairwise-distance
@@ -197,23 +200,24 @@ class BatchedBeaconEngine:
         # ``Generator.uniform(low, high, size=m)`` consumes the PCG64
         # stream bitwise-identically to m scalar ``uniform`` calls
         # (proven in tests/test_beacon_equivalence.py), so block caching
-        # keeps draw-for-draw parity with the legacy per-fire draw while
+        # keeps draw-for-draw parity with one scalar draw per fire while
         # amortizing the scalar-call overhead.
         self._jit_cache = np.zeros((n, _JIT_BLOCK))
         self._jit_pos = np.full(n, _JIT_BLOCK, dtype=np.int64)
         self.alive_mask = np.array([n.alive for n in nodes], dtype=bool)
         self.muted_mask = np.zeros(n, dtype=bool)
-        # Position snapshot (the batched mirror of Network._sync_grid).
+        # Position snapshot, refreshed by the rule of Network._sync_grid
+        # but private to the kernel: protocol reads never move it.
         self.snap_t = -math.inf
         self.snap_x = np.zeros(n)
         self.snap_y = np.zeros(n)
         self.snap_alive = self.alive_mask.copy()
-        # Mirrors legacy's ``len(grid) == len(nodes)`` check: the grid
-        # only holds nodes alive at sync time, so a partial snapshot
-        # forces a re-sync on every subsequent call until it fills back
-        # up — while a full-but-stale one keeps serving within epsilon
-        # even across a fresh death (receivers are still alive-filtered
-        # per fire).
+        # The ``len(grid) == len(nodes)`` rule: a snapshot only holds
+        # nodes alive at sync time, so a partial snapshot forces a
+        # re-sync on every subsequent fire until it fills back up —
+        # while a full-but-stale one keeps serving within epsilon even
+        # across a fresh death (receivers are still alive-filtered per
+        # fire).
         self._snap_full = bool(self.snap_alive.all())
         self._snap_dirty = False
         # A sparse store (above _DENSE_MAX nodes when the table was
@@ -242,8 +246,8 @@ class BatchedBeaconEngine:
         self._transitions: List[tuple] = []
         self.last_flush = -math.inf
         # Ledger accounts must be *created* in chronological charge order
-        # so EnergyLedger.total_j() sums in the same order as legacy
-        # (float addition is order-sensitive).
+        # so EnergyLedger.total_j() sums in the order per-fire charging
+        # would (float addition is order-sensitive).
         self._acct_touched = np.zeros(n, dtype=bool)
         # Account objects are created once and never replaced, so cache
         # them by row to skip the per-charge dict lookup.
@@ -269,7 +273,7 @@ class BatchedBeaconEngine:
 
     def start(self) -> None:
         stagger = self.sim.rng.stream("beacon.stagger")
-        # Legacy draws staggers in node-insertion order; replay that.
+        # Staggers are drawn in node-insertion order.
         now = self.sim.now
         for node in self.net.nodes.values():
             self.next_fire[self.index[node.id]] = now + float(
@@ -294,7 +298,7 @@ class BatchedBeaconEngine:
         self.next_fire[:] = np.inf
         self._nf_min = math.inf
         if self.pending:
-            # Drain in-flight beacons (legacy deliveries survive stop()).
+            # Drain in-flight beacons: frames already sent are delivered.
             t_last = max(float(p[1][-1]) if isinstance(p[1], np.ndarray)
                          else p[0] for p in self.pending)
             self.sim.schedule_at(t_last, lambda: self.flush(self.sim.now))
@@ -391,8 +395,8 @@ class BatchedBeaconEngine:
 
         Jitter draws replicate ``PeriodicTask._next_delay`` exactly: one
         uniform per fire from the node's own stream, drawn even when the
-        fire will be skipped (dead/muted) — the legacy callback
-        early-returns *after* the reschedule draw.
+        fire will be skipped (dead/muted): a periodic task draws its next
+        delay whatever its callback did.
         """
         due = np.nonzero(self.next_fire <= now)[0]
         if due.size == 0:
@@ -574,12 +578,12 @@ class BatchedBeaconEngine:
         k = 0
         while k < n_live:
             t_k = tf_list[k]
-            # Legacy _sync_grid parity: refresh when stale by epsilon, or
-            # when the snapshot is missing a node (the grid drops dead
-            # nodes, so legacy's length check fails and it re-syncs every
-            # call until everyone is back), or when liveness changed
-            # mid-flush.  A full-but-stale snapshot keeps serving within
-            # epsilon even if a node died since — exactly like the grid.
+            # The _sync_grid rule: refresh when stale by epsilon, or when
+            # the snapshot is missing a node (it drops dead nodes, so the
+            # length check fails and it re-syncs every fire until
+            # everyone is back), or when liveness changed mid-flush.  A
+            # full-but-stale snapshot keeps serving within epsilon even
+            # if a node died since.
             if (t_k - self.snap_t >= eps or not self._snap_full
                     or self._snap_dirty):
                 self._refresh_snapshot(t_k)
@@ -633,8 +637,8 @@ class BatchedBeaconEngine:
                 self._virtual_now = t_f
                 if not self.alive_mask[s_i] or self.muted_mask[s_i]:
                     # Sender killed earlier in this flush (battery):
-                    # the legacy callback would check liveness at its
-                    # own fire time and skip.
+                    # liveness is checked at its own fire time, so it
+                    # skips.
                     continue
                 if in_range is not None:
                     r_idx = np.nonzero(in_range[g - k])[0]
@@ -655,7 +659,7 @@ class BatchedBeaconEngine:
                 mac.count_lightweight_frame(net.BEACON_BYTES)
                 if slow_energy:
                     # A battery may kill the sender mid-charge; its
-                    # frame still goes out (legacy charges, then proceeds).
+                    # frame still goes out (charge first, then send).
                     ledger.charge_tx(int(self.ids[s_i]), self.bits,
                                      net.radio.range_m)
                 else:
@@ -666,7 +670,7 @@ class BatchedBeaconEngine:
                 loss = mac.loss_rate_at(t_f) if has_overlay else base_loss
                 surv_mask = mac.lightweight_survivors(int(r_idx.size), loss)
                 survivors = r_idx if surv_mask is None else r_idx[surv_mask]
-                # Legacy charges rx at FIRE time for all survivors, even
+                # rx is charged at FIRE time for all survivors, even
                 # ones that die before delivery.
                 if slow_energy:
                     for ri in survivors.tolist():
@@ -759,8 +763,8 @@ class BatchedBeaconEngine:
     def _alive_at_bulk(self, cols: np.ndarray,
                        times: np.ndarray) -> np.ndarray:
         """Receiver liveness at delivery time for (receiver, time)
-        pairs, reconstructed from the transitions log (delivery-time
-        alive check, legacy parity).
+        pairs, reconstructed from the transitions log (a receiver dead
+        at delivery time does not hear the frame).
 
         Nodes without transitions (almost all of them) resolve in one
         ``alive_mask`` gather; each transitioning node's pairs resolve
@@ -852,7 +856,7 @@ class BatchedBeaconEngine:
                     continue
                 if hooks:
                     # Pair order is row-major == chronological fires,
-                    # receivers ascending per fire — legacy hook order.
+                    # receivers ascending per fire.
                     # Bulk tolist() gathers yield the same Python
                     # ints/floats the per-pair conversions did.
                     rids = self.ids[g_cols].tolist()

@@ -91,9 +91,9 @@ class MacLayer:
         #: composed with the radio's base loss as independent erasure.
         self.loss_overlay: Optional[Callable[[], float]] = None
         #: time-parameterized variant, ``fn(t) -> extra loss at t``.  The
-        #: batched beacon kernel evaluates loss at each fire's logical
-        #: time, which may differ from ``sim.now`` at flush time.  When
-        #: only ``loss_overlay`` is set, batched mode falls back to it
+        #: beacon kernel evaluates loss at each fire's logical time,
+        #: which may differ from ``sim.now`` at flush time.  When only
+        #: ``loss_overlay`` is set, the kernel falls back to it
         #: (evaluated at flush time — documented divergence).
         self.loss_overlay_at: Optional[Callable[[float], float]] = None
         # Backoff/queueing samples go out on the probe's ``mac_sample``
@@ -122,8 +122,8 @@ class MacLayer:
         return loss
 
     def loss_rate_at(self, t: float) -> float:
-        """Effective channel loss at logical time ``t`` (batched beacon
-        path).  Prefers the time-parameterized overlay; falls back to the
+        """Effective channel loss at logical time ``t`` (beacon
+        kernel).  Prefers the time-parameterized overlay; falls back to the
         time-blind one, then to the base rate."""
         loss = self.radio.base_loss_rate
         if self.loss_overlay_at is not None:
@@ -140,12 +140,11 @@ class MacLayer:
         """Per-receiver loss draws for one lightweight (beacon) frame.
 
         Returns a boolean survival mask of length ``n``, or None when no
-        draws are needed (``loss <= 0`` or no receivers) — matching the
-        legacy path, which short-circuits ``loss <= 0.0 or rng.random()
-        >= loss`` and therefore consumes no RNG at zero loss.  A numpy
-        ``Generator.random(n)`` call consumes the bit stream identically
-        to ``n`` scalar ``random()`` calls, so draw-for-draw parity with
-        the per-receiver loop holds.
+        draws are needed (``loss <= 0`` or no receivers): a lossless
+        channel consumes no RNG.  A numpy ``Generator.random(n)`` call
+        consumes the bit stream identically to ``n`` scalar ``random()``
+        calls, so one frame's draws are the same whether they are made
+        at once or receiver by receiver.
         """
         if loss <= 0.0 or n == 0:
             return None
@@ -153,7 +152,7 @@ class MacLayer:
 
     def count_lightweight_frame(self, size_bytes: int) -> None:
         """Record the stats of one lightweight frame sent outside
-        :meth:`transmit` (the batched beacon kernel does its own energy
+        :meth:`transmit` (the beacon kernel does its own energy
         accounting and delivery scheduling)."""
         self.stats.frames_sent += 1
         self.stats.bytes_sent += size_bytes
@@ -218,8 +217,7 @@ class MacLayer:
     def transmit(self, sender: int, sender_pos: Vec2, message: Message,
                  receivers: Sequence[Tuple[int, Vec2]],
                  deliver: DeliverFn,
-                 on_unicast_fail: Optional[FailFn] = None,
-                 lightweight: bool = False) -> None:
+                 on_unicast_fail: Optional[FailFn] = None) -> None:
         """Send ``message`` from ``sender`` to the PHY neighborhood.
 
         Args:
@@ -229,13 +227,7 @@ class MacLayer:
             receivers: all nodes in radio range with their positions.
             deliver: callback invoked per successful reception.
             on_unicast_fail: invoked when a unicast exhausts its retries.
-            lightweight: beacon fast path — single delivery event, no
-                contention bookkeeping or ARQ (loss still applies).
         """
-        if lightweight:
-            self._transmit_lightweight(sender, sender_pos, message,
-                                       receivers, deliver)
-            return
         # Serialize this sender's queue: a burst of frames from one node
         # goes out back-to-back, not simultaneously.
         now = self.sim.now
@@ -257,30 +249,6 @@ class MacLayer:
         else:
             self._transmit_attempt(sender, sender_pos, message, receivers,
                                    deliver, on_unicast_fail, attempt=0)
-
-    def _transmit_lightweight(self, sender: int, sender_pos: Vec2,
-                              message: Message,
-                              receivers: Sequence[Tuple[int, Vec2]],
-                              deliver: DeliverFn) -> None:
-        airtime = self.radio.airtime(message.size_bytes)
-        bits = (message.size_bytes + self.radio.header_bytes) * 8
-        self.ledger.charge_tx(sender, bits, self.radio.range_m)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += message.size_bytes
-        loss = self.loss_rate()
-        survivors = [rid for rid, _pos in receivers
-                     if loss <= 0.0 or self._rng.random() >= loss]
-        for rid in survivors:
-            self.ledger.charge_rx(rid, bits)
-        if not survivors:
-            return
-        delay = airtime + self.radio.propagation_delay_s
-
-        def _deliver_all() -> None:
-            for rid in survivors:
-                deliver(rid, message)
-
-        self.sim.schedule_in(delay, _deliver_all)
 
     def _transmit_attempt(self, sender: int, sender_pos: Vec2,
                           message: Message,

@@ -1,6 +1,6 @@
 """The network's one neighbor table (:class:`NeighborTable`): a
 (hearer, neighbor) store whose cells hold the latest heard time and the
-sender's beaconed kinematics.  Both beacon paths write it, nodes read
+sender's beaconed kinematics.  The beacon kernel writes it, nodes read
 their row, and the proactive sweep is one :meth:`evict_stale` pass.
 Two interchangeable store representations:
 
@@ -26,8 +26,8 @@ Two interchangeable store representations:
   beacons ever fired.
 
 Both expose the same surface; equivalence is proven op by op
-(``tests/test_sparse_store.py``) and end to end against the legacy
-beacon path (``tests/test_beacon_equivalence.py``).
+(``tests/test_sparse_store.py``) and end to end against the per-event
+beacon reference model (``tests/beacon_reference.py``).
 """
 
 from __future__ import annotations

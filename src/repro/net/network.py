@@ -4,6 +4,9 @@ Delivery uses *true* node positions (the physics), while protocols see the
 world through beacon-maintained neighbor tables (the paper's network model,
 §3.1).  The gap between the two — staleness under mobility — is what makes
 infrastructure-heavy baselines degrade, so it is modeled faithfully.
+Beacons run on one kernel, the epoch engine of ``repro.net.beacons``;
+it keeps its own position snapshot, so protocol reads of the PHY index
+(``in_range_of``, ``send``) never move a beacon's receiver set.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from ..geometry import SpatialGrid, Vec2
 from ..sim.engine import PeriodicTask, Simulator
@@ -46,8 +47,7 @@ class Network:
                  mac_config: Optional[MacConfig] = None,
                  beacon_interval: float = 0.5,
                  neighbor_timeout: Optional[float] = None,
-                 position_epsilon: float = 0.05,
-                 beacon_mode: str = "batched"):
+                 position_epsilon: float = 0.05):
         """
         Args:
             sim: the event kernel.
@@ -61,14 +61,7 @@ class Network:
             position_epsilon: how stale (seconds) the PHY spatial index may
                 be before being refreshed; bounds position error by
                 epsilon * max_speed, far below the radio range.
-            beacon_mode: ``"batched"`` (one vectorized kernel event per
-                interval; the default) or ``"legacy"`` (one event per
-                beacon).  Equivalent at every interval boundary — see
-                ``repro.net.beacons`` and the differential test suite.
         """
-        if beacon_mode not in ("batched", "legacy"):
-            raise ConfigurationError(
-                f"unknown beacon_mode {beacon_mode!r}")
         self.sim = sim
         self.radio = radio or RadioModel()
         self.energy_model = energy or EnergyModel()
@@ -89,11 +82,9 @@ class Network:
         self._grid = SpatialGrid(cell_size=self.radio.range_m)
         self._link_factor_cache: Dict[tuple, float] = {}
         self._grid_time = -math.inf
-        self.beacon_mode = beacon_mode
         # Built by the first start_beacons() and kept for the run.
         self._neighbor_table: Optional[NeighborTable] = None
         self._beacon_engine: Optional[BatchedBeaconEngine] = None
-        self._beacon_tasks: List[PeriodicTask] = []
         self._beacon_muted: set = set()
         self._sweep_task: Optional[PeriodicTask] = None
         self.neighbor_evictions = 0
@@ -202,50 +193,35 @@ class Network:
     # -- beacons -------------------------------------------------------------
 
     def _beacons_running(self) -> bool:
-        return bool(self._beacon_tasks) or (
-            self._beacon_engine is not None and self._beacon_engine._running)
+        engine = self._beacon_engine
+        return engine is not None and engine._running
 
     def start_beacons(self) -> None:
         """Begin periodic location beaconing on every node.
 
-        The first call builds the neighbor table (and, in batched mode,
-        the beacon engine); a restart after :meth:`stop_beacons` reuses
-        both, so tables, banked energy and jitter streams carry over."""
+        The first call builds the neighbor table and the beacon engine; a
+        restart after :meth:`stop_beacons` reuses both, so tables, banked
+        energy and jitter streams carry over."""
         if self._beacons_running():
             raise ConfigurationError("beacons already started")
-        if self._neighbor_table is None:
+        if self._beacon_engine is None:
             self._neighbor_table = NeighborTable(
                 self.nodes, sparse=len(self.nodes) > beacons._DENSE_MAX)
-        if self.beacon_mode == "batched":
-            if self._beacon_engine is None:
-                self._beacon_engine = BatchedBeaconEngine(self)
-                if self._beacon_muted:
-                    self._beacon_engine.set_muted(self._beacon_muted, True)
-            self._beacon_engine.start()
-            return
-        stagger_rng = self.sim.rng.stream("beacon.stagger")
-        for node in self.nodes.values():
-            task = PeriodicTask(self.sim, self.beacon_interval,
-                                self._make_beacon_fn(node),
-                                jitter=0.05 * self.beacon_interval,
-                                rng_stream=f"beacon.jitter.{node.id}")
-            task.start(initial_delay=float(
-                stagger_rng.uniform(0.0, self.beacon_interval)))
-            self._beacon_tasks.append(task)
+            self._beacon_engine = BatchedBeaconEngine(self)
+            if self._beacon_muted:
+                self._beacon_engine.set_muted(self._beacon_muted, True)
+        self._beacon_engine.start()
 
     def stop_beacons(self) -> None:
         if self._beacon_engine is not None:
             self._beacon_engine.stop()
-        for task in self._beacon_tasks:
-            task.stop()
-        self._beacon_tasks.clear()
 
     def flush_beacons(self) -> None:
-        """Bring batched beacon state exactly up to ``sim.now``.
+        """Bring beacon state exactly up to ``sim.now``.
 
-        A no-op in legacy mode (the event queue is always current) and on
-        the batched fast path when nothing is due — safe to call from any
-        observer or checkpoint."""
+        A no-op before beacons first start and on the engine's fast path
+        when nothing is due — safe to call from any observer or
+        checkpoint."""
         if self._beacon_engine is not None:
             self._beacon_engine.flush(self.sim.now)
 
@@ -262,40 +238,6 @@ class Network:
         if self._beacon_engine is not None:
             self._beacon_engine.set_muted(ids, False)
         self._beacon_muted.difference_update(ids)
-
-    def _make_beacon_fn(self, node: SensorNode) -> Callable[[], None]:
-        def _beacon() -> None:
-            if not node.alive or node.id in self._beacon_muted:
-                return
-            now = self.sim.now
-            pos = node.mobility.position_at(now)
-            speed = node.mobility.speed_at(now)
-            velocity = node.mobility.velocity_at(now)
-            self.stats.beacons_sent += 1
-            receivers = self._receivers_for(node.id, pos)
-            message = Message(kind="beacon", src=node.id, dst=-1,
-                              size_bytes=self.BEACON_BYTES,
-                              payload={"pos": pos, "speed": speed,
-                                       "vel": velocity},
-                              created_at=now)
-            self._beacon_mac.transmit(
-                node.id, pos, message, receivers,
-                deliver=self._deliver_beacon, lightweight=True)
-
-        return _beacon
-
-    def _deliver_beacon(self, receiver_id: int, message: Message) -> None:
-        node = self.nodes.get(receiver_id)
-        if node is None or not node.alive:
-            return
-        probe = self.sim.probe
-        for fn in probe.beacon:
-            fn(receiver_id, message.src, self.sim.now)
-        for fn in probe.beacon_batch:
-            fn(1)
-        node.observe_beacon(message.src, message.payload["pos"],
-                            message.payload["speed"], self.sim.now,
-                            velocity=message.payload["vel"])
 
     def warm_up(self, duration: Optional[float] = None) -> None:
         """Run beacons for ``duration`` so neighbor tables fill.
@@ -332,16 +274,9 @@ class Network:
         timeout = self.neighbor_timeout
 
         def _sweep() -> None:
-            now = self.sim.now
-            table = self._neighbor_table
             if self._beacon_engine is not None:
                 self.neighbor_evictions += \
-                    self._beacon_engine.sweep_evict(now, timeout)
-            elif table is not None:
-                alive = np.array([self.nodes[nid].alive
-                                  for nid in table.ids.tolist()], dtype=bool)
-                self.neighbor_evictions += \
-                    table.store.evict_stale(alive, now, timeout)
+                    self._beacon_engine.sweep_evict(self.sim.now, timeout)
 
         self._sweep_task = PeriodicTask(
             self.sim, period if period is not None else self.beacon_interval,

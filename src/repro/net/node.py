@@ -103,10 +103,10 @@ class SensorNode:
     def neighbor_table(self) -> Dict[int, NeighborEntry]:
         """A snapshot of the node's row of the neighbor store, keyed by
         neighbor id in ascending order: every entry not yet evicted, as
-        last beaconed (no dead reckoning, no pruning).  In batched-beacon
-        mode the read flushes first, so external readers (validation
-        checkers, fault tooling) see what the legacy path would have
-        produced.  Writing to it changes nothing."""
+        last beaconed (no dead reckoning, no pruning).  The read flushes
+        the beacon kernel first, so external readers (validation
+        checkers, fault tooling) see every beacon delivered up to now,
+        whenever they look.  Writing to it changes nothing."""
         row = None if self.network is None else self._row()
         return {} if row is None else {e.node_id: e
                                        for e in self._entries(row)}
@@ -175,17 +175,6 @@ class SensorNode:
                 for i, x, y, s, h, b, c, u, w in zip(
                     ids, px.tolist(), py.tolist(), sp.tolist(), t.tolist(),
                     bx.tolist(), by.tolist(), vx.tolist(), vy.tolist())]
-
-    def observe_beacon(self, node_id: int, position: Vec2, speed: float,
-                       time: float,
-                       velocity: Vec2 = Vec2(0.0, 0.0)) -> None:
-        """Record a heard beacon in the node's store row."""
-        table = self._table()
-        if table is None:
-            raise RuntimeError("no neighbor table: beacons never started")
-        table.store.update_cell(table.index[self.id], table.index[node_id],
-                                time, position.x, position.y, speed,
-                                velocity.x, velocity.y)
 
     def neighbors(self, max_age: Optional[float] = None) -> List[NeighborEntry]:
         """Fresh neighbor entries (protocol view), in ascending id order.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..sim.probe import ProtocolObserver
 from .events import TraceLog
 from .metrics import MetricsRegistry
 from .profiler import KernelProfiler
@@ -29,7 +30,7 @@ from .sampling import SAMPLING_STREAM, SamplingPolicy, TailSampler
 from .spans import SpanTracker
 
 
-class Telemetry:
+class Telemetry(ProtocolObserver):
     """Telemetry state of one simulation run.
 
     ``sample_every_n > 0`` switches the hub into the scale-aware

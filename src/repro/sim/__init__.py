@@ -4,11 +4,11 @@ streams, errors."""
 from .engine import EventHandle, PeriodicTask, Simulator
 from .errors import (ConfigurationError, QueryError, ReproError,
                      RoutingError, SimulationError)
-from .probe import Probe
+from .probe import Probe, ProtocolObserver
 from .rng import RngRegistry
 
 __all__ = [
-    "EventHandle", "PeriodicTask", "Probe", "Simulator", "ConfigurationError",
-    "QueryError", "ReproError", "RoutingError", "SimulationError",
-    "RngRegistry",
+    "EventHandle", "PeriodicTask", "Probe", "ProtocolObserver", "Simulator",
+    "ConfigurationError", "QueryError", "ReproError", "RoutingError",
+    "SimulationError", "RngRegistry",
 ]

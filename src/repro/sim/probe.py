@@ -31,7 +31,7 @@ CHANNELS = (
     "beacon_charge",  # same, beacon ledger; moves the batched beacon
                       # kernel off its bulk energy path
     "route",          # objects with the route_* methods GPSR calls
-    "protocol",       # objects with the query_*/sector_*/... methods
+    "protocol",       # ProtocolObserver-shaped objects
     "itinerary",      # fn(itinerary) per sector plan (re)build
 )
 
@@ -59,3 +59,18 @@ class Probe:
         if subscriber in subs:
             i = subs.index(subscriber)
             setattr(self, channel, subs[:i] + subs[i + 1:])
+
+
+class ProtocolObserver:
+    """A ``protocol`` channel subscriber that ignores every event; a
+    subclass overrides the ones it wants.  The sink emits
+    ``bundle_received`` for a live result bundle before merging it and
+    ``bundle_merged`` after; a late bundle emits neither."""
+
+    def _ignore(self, *_args: Any, **_kwargs: Any) -> None:
+        return None
+
+    query_issued = route_attempt = home_reached = sector_dispatched = \
+        token_hop = token_retry = sector_void = sector_finished = \
+        window_closed = bundle_sent = requery_dispatched = \
+        bundle_received = bundle_merged = query_finalized = _ignore

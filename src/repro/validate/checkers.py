@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.diknn import DIKNNProtocol
 from ..geometry import TWO_PI, Vec2
 from ..geometry.shapes import Circle, Sector
+from ..sim.probe import ProtocolObserver
 from .base import Checker, InvariantViolation, ValidationContext
 
 _REL_TOL = 1e-9
@@ -385,13 +386,16 @@ class _QueryTrack:
         self.voids = 0.0
 
 
-class SectorChecker(Checker):
+class SectorChecker(Checker, ProtocolObserver):
     """DIKNN sector partition + idempotent bundle-merge accounting.
 
     Keeps an independent per-query record of which sectors have reported
     and what they contributed, and cross-checks the protocol's own
-    accounting after every delivered result bundle — a regression in the
-    duplicate-bundle suppression shows up as a divergence here.
+    accounting after every merged result bundle — a regression in the
+    duplicate-bundle suppression shows up as a divergence here.  A
+    ``protocol`` probe subscriber: it checks each issued query's sector
+    partition on ``query_issued`` and the sink state on
+    ``bundle_merged``, which the protocol emits only for live bundles.
     """
 
     name = "sector-algebra"
@@ -399,51 +403,29 @@ class SectorChecker(Checker):
     def __init__(self) -> None:
         super().__init__()
         self._protocol: Optional[DIKNNProtocol] = None
-        self._ctx: Optional[ValidationContext] = None
         self._track: Dict[int, _QueryTrack] = {}
-        self._orig_issue = None
-        self._orig_on_result = None
 
     def attach(self, ctx: ValidationContext) -> None:
         if not isinstance(ctx.protocol, DIKNNProtocol):
             return  # nothing to check for other protocols
         self._protocol = ctx.protocol
-        self._ctx = ctx
-        self._orig_issue = ctx.protocol.issue
-        ctx.protocol.issue = self._issue
-        # _on_result is dispatched through the router's registry, so the
-        # observing wrapper must be re-registered there.
-        self._orig_on_result = ctx.protocol._on_result
-        if ctx.protocol.router is not None:
-            ctx.protocol.router.on_deliver(DIKNNProtocol.KIND_RESULT,
-                                           self._on_result)
+        ctx.sim.probe.subscribe("protocol", self)
 
     def detach(self, ctx: ValidationContext) -> None:
-        if self._protocol is None:
-            return
-        self._protocol.issue = self._orig_issue
-        if self._protocol.router is not None and \
-                self._orig_on_result is not None:
-            self._protocol.router.on_deliver(DIKNNProtocol.KIND_RESULT,
-                                             self._orig_on_result)
+        if self._protocol is not None:
+            ctx.sim.probe.unsubscribe("protocol", self)
+            self._protocol = None
 
-    # -- wrappers (observe, then delegate / delegate, then verify) --------
+    # -- protocol events --------------------------------------------------
 
-    def _issue(self, sink, query, on_complete):
+    def query_issued(self, query, _sink_id: int, _at: float) -> None:
         self.checks_run += check_sector_partition(
             query.point, self._protocol.config.sectors)
         self._track.setdefault(query.query_id, _QueryTrack())
-        return self._orig_issue(sink, query, on_complete)
 
-    def _on_result(self, node, inner: dict) -> None:
+    def bundle_merged(self, query_id: int, inner: dict, node_id: int,
+                      now: float) -> None:
         protocol = self._protocol
-        query_id = inner["query_id"]
-        live_before = (not protocol._is_finalized(query_id)
-                       and protocol._result_of(query_id) is not None)
-        self._orig_on_result(node, inner)
-        if not live_before:
-            return  # late bundle: the protocol must (and did) ignore it
-        now = self._ctx.sim.now
         self.checks_run += 1
 
         cand_ids = [int(c[0]) for c in inner["cands"]]
@@ -451,7 +433,7 @@ class SectorChecker(Checker):
             self.fail(
                 "result bundle carries duplicate candidate node ids "
                 f"{sorted(cand_ids)} (merge is not idempotent)",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
 
         track = self._track.setdefault(query_id, _QueryTrack())
         new_sectors = [s for s in inner["sectors"] if s not in track.seen]
@@ -468,24 +450,24 @@ class SectorChecker(Checker):
                 self.fail(
                     f"bundle reports sector {s}, outside "
                     f"[0, {result.sectors_total})",
-                    node=node.id, time=now, query_id=query_id)
+                    node=node_id, time=now, query_id=query_id)
         proto_seen = protocol.sectors_seen(query_id)
         if proto_seen != track.seen:
             self.fail(
                 f"sink sector accounting diverged: protocol says "
                 f"{sorted(proto_seen)}, bundles delivered say "
                 f"{sorted(track.seen)}",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
         if result.sectors_reported != len(track.seen):
             self.fail(
                 f"sectors_reported={result.sectors_reported} but "
                 f"{len(track.seen)} distinct sector(s) have reported "
                 "(duplicate bundle double-counted)",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
         if len(track.seen) > result.sectors_total:
             self.fail(
                 f"{len(track.seen)} sectors reported out of "
-                f"{result.sectors_total}", node=node.id, time=now,
+                f"{result.sectors_total}", node=node_id, time=now,
                 query_id=query_id)
         explored = result.meta.get("explored", 0.0)
         if not _close(explored, track.explored):
@@ -493,7 +475,7 @@ class SectorChecker(Checker):
                 f"exploration counter reads {explored:.6g} but distinct "
                 f"bundles contributed {track.explored:.6g} "
                 "(duplicate bundle double-counted)",
-                node=node.id, time=now, query_id=query_id)
+                node=node_id, time=now, query_id=query_id)
 
 
 DEFAULT_CHECKERS = (CausalityChecker, EnergyChecker, NeighborTableChecker,

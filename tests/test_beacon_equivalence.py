@@ -3,10 +3,11 @@
 The equivalence argument for ``repro.net.beacons`` is executable: on
 randomized deployments (uniform / clustered / caribou, static and
 mobile, with muted and dead nodes mixed in), the batched epoch kernel
-and the legacy one-event-per-beacon path must produce *identical*
-neighbor tables, beacon counts and beacon-energy ledger totals at every
-beacon-interval boundary.  "Identical" means bitwise — same heard_at
-floats, same positions, same velocities, same per-account tx/rx joules.
+and the one-event-per-beacon reference model (``tests/beacon_reference``)
+must produce *identical* neighbor tables, beacon counts and
+beacon-energy ledger totals at every beacon-interval boundary.
+"Identical" means bitwise — same heard_at floats, same positions, same
+velocities, same per-account tx/rx joules.
 
 Plain seeded numpy sweeps rather than a property-testing framework keep
 the suite dependency-light and the failures reproducible by seed.
@@ -24,6 +25,8 @@ from repro.mobility import RandomWaypointMobility, StaticMobility
 from repro.net import Network, RadioModel, SensorNode
 from repro.sim import Simulator
 
+from tests.beacon_reference import ReferenceBeacons
+
 SEEDS = (0, 1, 2)
 
 _DEPLOYMENTS = {
@@ -37,13 +40,15 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def build_network(mode, seed, n_nodes, deployment="uniform", mobile=True,
+def build_network(kernel, seed, n_nodes, deployment="uniform", mobile=True,
                   side=70.0, loss=0.0, sigma=0.0):
-    """One network; identical construction in both beacon modes."""
+    """One network, identical for either kernel, and the object whose
+    ``start_beacons``/``stop_beacons``/``start_neighbor_sweep`` drive
+    its beacons: the network itself (``"batched"``) or the reference
+    model (``"reference"``)."""
     sim = Simulator(seed=seed)
     net = Network(sim, radio=RadioModel(base_loss_rate=loss,
-                                        shadowing_sigma=sigma),
-                  beacon_mode=mode)
+                                        shadowing_sigma=sigma))
     field = Rect.from_size(side, side)
     positions = _DEPLOYMENTS[deployment]().generate(
         n_nodes, field, sim.rng.stream("deploy"))
@@ -55,7 +60,10 @@ def build_network(mode, seed, n_nodes, deployment="uniform", mobile=True,
         else:
             mob = StaticMobility(pos)
         net.add_node(SensorNode(i, mob))
-    return sim, net
+    if kernel == "reference":
+        return sim, net, ReferenceBeacons(net)
+    assert kernel == "batched", kernel
+    return sim, net, net
 
 
 def beacon_state(net):
@@ -80,15 +88,15 @@ def beacon_state(net):
     }
 
 
-def assert_states_equal(legacy, batched, context=""):
-    for key in legacy:
-        assert legacy[key] == batched[key], (
+def assert_states_equal(reference, batched, context=""):
+    for key in reference:
+        assert reference[key] == batched[key], (
             f"{context}: beacon state {key!r} diverged")
 
 
-def run_boundaries(mode, boundaries, seed, **kwargs):
-    sim, net = build_network(mode, seed, **kwargs)
-    net.start_beacons()
+def run_boundaries(kernel, boundaries, seed, **kwargs):
+    sim, net, driver = build_network(kernel, seed, **kwargs)
+    driver.start_beacons()
     out = []
     for t in boundaries:
         sim.run(until=t)
@@ -97,10 +105,10 @@ def run_boundaries(mode, boundaries, seed, **kwargs):
 
 
 def _compare(boundaries, seed, **kwargs):
-    legacy = run_boundaries("legacy", boundaries, seed, **kwargs)
+    reference = run_boundaries("reference", boundaries, seed, **kwargs)
     batched = run_boundaries("batched", boundaries, seed, **kwargs)
-    for t, l, b in zip(boundaries, legacy, batched):
-        assert_states_equal(l, b, context=f"t={t} seed={seed}")
+    for t, r, b in zip(boundaries, reference, batched):
+        assert_states_equal(r, b, context=f"t={t} seed={seed}")
 
 
 # -- randomized deployments -------------------------------------------------
@@ -137,76 +145,85 @@ def test_equal_large_population():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equal_with_muted_and_dead_mix(seed):
-    """Dead and muted nodes still draw jitter (legacy fires then skips),
-    so downstream RNG stays aligned."""
-    def run(mode):
-        sim, net = build_network(mode, seed, n_nodes=40, mobile=True)
+    """Dead and muted nodes still draw jitter (a skipped fire still
+    reschedules), so downstream RNG stays aligned."""
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=40,
+                                         mobile=True)
         rng = _rng(seed + 100)
         muted = rng.choice(40, size=6, replace=False).tolist()
         dead = rng.choice(40, size=4, replace=False).tolist()
         net.mute_beacons(int(i) for i in muted)
         for i in dead:
             net.nodes[int(i)].alive = False
-        net.start_beacons()
+        driver.start_beacons()
         out = []
         for t in (0.5, 1.0, 2.0, 3.5):
             sim.run(until=t)
             out.append(beacon_state(net))
         return out
 
-    for l, b in zip(run("legacy"), run("batched")):
-        assert_states_equal(l, b, context=f"seed={seed}")
+    for r, b in zip(run("reference"), run("batched")):
+        assert_states_equal(r, b, context=f"seed={seed}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equal_under_sweep_eviction(seed):
-    """Proactive staleness sweeps evict identically in both modes."""
-    def run(mode):
-        sim, net = build_network(mode, seed, n_nodes=30, mobile=True)
-        net.start_beacons()
-        net.start_neighbor_sweep()
+    """Proactive staleness sweeps evict identically in both kernels."""
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=30,
+                                         mobile=True)
+        driver.start_beacons()
+        driver.start_neighbor_sweep()
         sim.run(until=1.0)
         net.mute_beacons(range(0, 30, 3))   # let some tables rot
         sim.run(until=4.0)
         return beacon_state(net), net.neighbor_evictions
 
-    (ls, le), (bs, be) = run("legacy"), run("batched")
-    assert_states_equal(ls, bs, context=f"seed={seed}")
-    assert le == be
+    (rs, re), (bs, be) = run("reference"), run("batched")
+    assert_states_equal(rs, bs, context=f"seed={seed}")
+    assert re == be
 
 
 def test_stop_beacons_drains_in_flight():
     """Beacons in the air when beaconing stops still get delivered."""
-    def run(mode):
-        sim, net = build_network(mode, 2, n_nodes=30, mobile=True)
-        net.start_beacons()
+    def run(kernel):
+        sim, net, driver = build_network(kernel, 2, n_nodes=30,
+                                         mobile=True)
+        driver.start_beacons()
         sim.run(until=1.2)
-        net.stop_beacons()
+        driver.stop_beacons()
         sim.run(until=2.0)
         return beacon_state(net)
 
-    assert_states_equal(run("legacy"), run("batched"))
+    assert_states_equal(run("reference"), run("batched"))
 
 
 def test_restart_beacons_reuses_engine():
     """stop_beacons() then start_beacons() resumes the one engine: its
     banked beacon energy, cached jitter draws and neighbor store carry
-    over, exactly as the legacy tasks resume their streams."""
+    over, exactly as restarted per-node tasks resume their streams."""
     engines = []
 
-    def run(mode):
-        sim, net = build_network(mode, 2, n_nodes=30, mobile=True)
-        net.start_beacons()
+    def run(kernel):
+        sim, net, driver = build_network(kernel, 2, n_nodes=30,
+                                         mobile=True)
+        driver.start_beacons()
         engines.append(net._beacon_engine)
         sim.run(until=1.2)
-        net.stop_beacons()
+        driver.stop_beacons()
         sim.run(until=2.0)
-        net.start_beacons()
+        driver.start_beacons()
         engines.append(net._beacon_engine)
         sim.run(until=3.1)
-        return beacon_state(net)
+        return beacon_state(net), sim.events_executed
 
-    assert_states_equal(run("legacy"), run("batched"))
+    (ref_state, ref_events), (state, events) = \
+        run("reference"), run("batched")
+    assert_states_equal(ref_state, state)
+    # Every event the reference runs is credited; the only extra ones
+    # are the epochs at 0.5, 1.0, 2.5 and 3.0 s and at most one drain.
+    assert ref_events <= events <= ref_events + 5
     assert engines[:2] == [None, None] and engines[2] is engines[3]
 
 
@@ -217,19 +234,18 @@ def test_equal_under_reads_forgets_resets_and_sweeps(seed):
     counts in both kernels."""
     n = 30
 
-    def run(mode):
-        sim, net = build_network(mode, seed, n_nodes=n, mobile=True)
-        net.start_beacons()
-        net.start_neighbor_sweep()
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=n,
+                                         mobile=True)
+        driver.start_beacons()
+        driver.start_neighbor_sweep()
         rng = _rng(seed + 200)
         out = []
         for step in range(1, 17):
             sim.run(until=0.3 * step)
             # Writes first, while deliveries since the last read are
             # still pending in the batched kernel; a wipe leads every
-            # third step.  (Ranges come from the mobility models:
-            # ``in_range_of`` would re-sync the legacy path's PHY grid
-            # and so move its beacon receiver sets.)
+            # third step.
             if step % 3 == 0:
                 net.nodes[int(rng.integers(0, n))].reset_neighbors()
             for hearer in rng.choice(n, size=3, replace=False).tolist():
@@ -250,11 +266,36 @@ def test_equal_under_reads_forgets_resets_and_sweeps(seed):
             out.append((beacon_state(net), net.neighbor_evictions))
         return out
 
-    legacy, batched = run("legacy"), run("batched")
-    for step, ((ls, le), (bs, be)) in enumerate(zip(legacy, batched), 1):
-        assert_states_equal(ls, bs, context=f"seed={seed} step={step}")
-        assert le == be, f"seed={seed} step={step}: evictions diverged"
-    assert legacy[-1][1] > 0, "the sweep should have evicted something"
+    reference, batched = run("reference"), run("batched")
+    for step, ((rs, re), (bs, be)) in enumerate(zip(reference, batched), 1):
+        assert_states_equal(rs, bs, context=f"seed={seed} step={step}")
+        assert re == be, f"seed={seed} step={step}: evictions diverged"
+    assert reference[-1][1] > 0, "the sweep should have evicted something"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equal_under_protocol_range_reads(seed):
+    """Protocol traffic reads the PHY index between beacons
+    (``in_range_of`` on every send); the beacon kernel keeps its own
+    position snapshot, so those reads never move a beacon's receivers."""
+    n = 30
+
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=n,
+                                         mobile=True)
+        driver.start_beacons()
+        rng = _rng(seed + 300)
+        out = []
+        for step in range(1, 41):
+            sim.run(until=0.05 * step)
+            for nid in rng.choice(n, size=3, replace=False).tolist():
+                net.in_range_of(net.nodes[nid].position())
+            out.append(beacon_state(net))
+        return out
+
+    for step, (r, b) in enumerate(zip(run("reference"), run("batched")), 1):
+        assert_states_equal(r, b,
+                            context=f"seed={seed} t={0.05 * step:.2f}")
 
 
 # -- RNG discipline ---------------------------------------------------------
@@ -323,18 +364,19 @@ def test_mobility_bank_matches_scalar_models(seed):
 
 
 def test_event_accounting_credited():
-    """Batched mode credits the collapsed per-beacon events, so
-    events_executed stays comparable across kernels (the epoch events
-    themselves are the only overhead)."""
-    def run(mode):
-        sim, net = build_network(mode, 3, n_nodes=25, mobile=False)
-        net.start_beacons()
+    """The batched kernel credits the collapsed per-beacon events, so
+    events_executed stays comparable with the reference model (the
+    epoch events themselves are the only overhead)."""
+    def run(kernel):
+        sim, net, driver = build_network(kernel, 3, n_nodes=25,
+                                         mobile=False)
+        driver.start_beacons()
         sim.run(until=4.0)
         return sim.events_executed
 
-    legacy, batched = run("legacy"), run("batched")
+    reference, batched = run("reference"), run("batched")
     epochs = 8  # 4.0s / 0.5s interval
-    assert legacy <= batched <= legacy + epochs
+    assert reference <= batched <= reference + epochs
 
 
 # -- mid-interval observation purity ---------------------------------------
@@ -344,7 +386,8 @@ def test_mid_interval_reads_do_not_perturb(seed):
     """flush() is a pure function of (state, time): reading neighbor
     tables mid-interval must not change any boundary state."""
     def run(poll):
-        sim, net = build_network("batched", seed, n_nodes=30, mobile=True)
+        sim, net, _ = build_network("batched", seed, n_nodes=30,
+                                    mobile=True)
         net.start_beacons()
         out = []
         for t in (0.5, 1.0, 1.5, 2.0):

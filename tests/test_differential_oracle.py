@@ -20,7 +20,7 @@ from repro.validate import (compare_with_flooding, loss_sweep,
 
 # Exactness under the default MAC depends on collision-draw luck, which
 # is pinned by the seed: receiver sets are now resolved in canonical
-# ascending-id order (required for batched/legacy beacon equivalence),
+# ascending-id order (required for beacon-kernel equivalence),
 # which re-rolled the collision victims and made the old seed marginal.
 CFG = SimulationConfig(n_nodes=60, field_size=(70.0, 70.0), seed=11,
                        max_speed=0.0)
@@ -103,10 +103,12 @@ class TestOracleImplementations:
     SEEDS = (0, 1, 2)
 
     @staticmethod
-    def _network(seed, mode="batched"):
+    def _network(seed, beacons=True):
         from tests.test_beacon_equivalence import build_network
-        sim, net = build_network(mode, seed, n_nodes=120, mobile=True)
-        net.start_beacons()
+        sim, net, _ = build_network("batched", seed, n_nodes=120,
+                                    mobile=True)
+        if beacons:
+            net.start_beacons()
         sim.run(until=1.7)  # mid-leg, mid-interval timestamp
         return sim, net
 
@@ -148,7 +150,7 @@ class TestOracleImplementations:
             assert true_knn(net, POINT, 10, t=t, method="auto") == ref
 
     def test_auto_falls_back_to_brute_without_engine(self):
-        _sim, net = self._network(3, mode="legacy")
+        _sim, net = self._network(3, beacons=False)
         assert net._beacon_engine is None
         assert (true_knn(net, POINT, 10, method="auto")
                 == true_knn(net, POINT, 10, method="brute"))
@@ -166,8 +168,8 @@ class TestOracleImplementations:
         from tests.test_beacon_equivalence import build_network
         n = 10_000
         side = 813.2  # 115 * sqrt(10000 / 200): paper density
-        sim, net = build_network("batched", 17, n_nodes=n, mobile=True,
-                                 side=side, deployment="uniform")
+        sim, net, _ = build_network("batched", 17, n_nodes=n, mobile=True,
+                                    side=side, deployment="uniform")
         net.start_beacons()
         sim.run(until=0.3)
         rng = np.random.default_rng(17)

@@ -280,11 +280,12 @@ class TestResilienceSweep:
 
 class TestBatchedBeaconFaultInterplay:
     """Fault events interleaved with the batched beacon epoch must leave
-    the same neighbor tables / energy / counters as the legacy kernel."""
+    the same neighbor tables / energy / counters as the per-event
+    reference model."""
 
-    def _build(self, mode, seed=9, n=30):
+    def _build(self, kernel, seed=9, n=30):
         from tests.test_beacon_equivalence import build_network
-        return build_network(mode, seed, n_nodes=n, mobile=True)
+        return build_network(kernel, seed, n_nodes=n, mobile=True)
 
     def _state(self, net):
         from tests.test_beacon_equivalence import beacon_state
@@ -292,20 +293,20 @@ class TestBatchedBeaconFaultInterplay:
 
     def _assert_equal(self, runner):
         from tests.test_beacon_equivalence import assert_states_equal
-        legacy, batched = runner("legacy"), runner("batched")
-        for i, (l, b) in enumerate(zip(legacy, batched)):
-            assert_states_equal(l, b, context=f"checkpoint {i}")
+        reference, batched = runner("reference"), runner("batched")
+        for i, (r, b) in enumerate(zip(reference, batched)):
+            assert_states_equal(r, b, context=f"checkpoint {i}")
 
     def test_mute_unmute_mid_epoch(self):
         """Beacon suppression windows that start and end inside an epoch
-        suppress exactly the fires the legacy kernel would skip."""
-        def run(mode):
-            sim, net = self._build(mode)
+        suppress exactly the fires the reference model skips."""
+        def run(kernel):
+            sim, net, driver = self._build(kernel)
             plan = (FaultPlan()
                     .suppress_beacons(at=0.73, duration_s=0.9,
                                       node_ids=[2, 5, 11])
                     .suppress_beacons(at=2.18, duration_s=0.4))
-            net.start_beacons()
+            driver.start_beacons()
             FaultInjector(sim, net, plan).install()
             out = []
             for t in (0.5, 1.0, 1.5, 2.5, 3.5):
@@ -320,7 +321,7 @@ class TestBatchedBeaconFaultInterplay:
         delivery is charged rx energy (fire time) yet never updates its
         table (delivery-time liveness) — in both kernels."""
         # Peek the batched engine's schedule for a fire to straddle.
-        sim, net = self._build("batched")
+        sim, net, _ = self._build("batched")
         net.start_beacons()
         sim.run(until=1.0)
         engine = net._beacon_engine
@@ -330,10 +331,10 @@ class TestBatchedBeaconFaultInterplay:
         kill_at = t_fire + delay / 2.0
         victim = int(engine.ids[int(np.argmin(engine.next_fire))])
 
-        def run(mode):
-            sim, net = self._build(mode)
+        def run(kernel):
+            sim, net, driver = self._build(kernel)
             plan = FaultPlan().crash(victim, at=kill_at, downtime_s=1.0)
-            net.start_beacons()
+            driver.start_beacons()
             FaultInjector(sim, net, plan).install()
             out = []
             for t in (1.0, t_fire + delay * 2, 2.5, 4.0):
@@ -347,12 +348,12 @@ class TestBatchedBeaconFaultInterplay:
         """A blackout disc killing nodes mid-epoch (with recovery) leaves
         identical tables: dead nodes neither beacon nor hear, recovered
         nodes restart from empty tables."""
-        def run(mode):
-            sim, net = self._build(mode, seed=4, n=40)
+        def run(kernel):
+            sim, net, driver = self._build(kernel, seed=4, n=40)
             plan = FaultPlan().blackout((35.0, 35.0), radius=25.0,
                                         at=1.13, duration_s=1.0)
-            net.start_beacons()
-            net.start_neighbor_sweep()
+            driver.start_beacons()
+            driver.start_neighbor_sweep()
             FaultInjector(sim, net, plan).install()
             out = []
             for t in (1.0, 1.5, 2.0, 3.0, 4.5):
@@ -365,11 +366,11 @@ class TestBatchedBeaconFaultInterplay:
     def test_link_degradation_mid_epoch(self):
         """Time-windowed extra loss is evaluated at each fire's logical
         time (``loss_overlay_at``), not the flush time."""
-        def run(mode):
-            sim, net = self._build(mode, seed=6)
+        def run(kernel):
+            sim, net, driver = self._build(kernel, seed=6)
             plan = FaultPlan().degrade_links(at=0.87, duration_s=0.31,
                                              extra_loss=0.6)
-            net.start_beacons()
+            driver.start_beacons()
             FaultInjector(sim, net, plan).install()
             out = []
             for t in (0.5, 1.0, 1.5, 3.0):

@@ -7,6 +7,7 @@ from repro.mobility import RandomWaypointMobility, StaticMobility
 from repro.net import Message, Network, SensorNode
 from repro.sim import ConfigurationError, Simulator
 
+from tests.beacon_reference import ReferenceBeacons
 from tests.conftest import build_mobile_network, build_static_network
 
 
@@ -48,15 +49,25 @@ class TestNetworkPopulation:
         assert len(net) == 7
         assert net.node(3).id == 3
 
-    @pytest.mark.parametrize("mode", ["batched", "legacy"])
-    def test_rejected_add_changes_nothing(self, mode):
+    @pytest.mark.parametrize("kernel", [
+        "batched",
+        # The per-event reference model stands in for the removed
+        # legacy beacon path.
+        pytest.param("reference", id="legacy"),
+    ])
+    def test_rejected_add_changes_nothing(self, kernel):
         """Once beacons run, ids must arrive in ascending order; a
-        rejected add leaves the network exactly as it was."""
+        rejected add leaves the network exactly as it was, whichever
+        kernel beacons."""
         sim = Simulator(seed=1)
-        net = Network(sim, beacon_mode=mode)
+        net = Network(sim)
         for i in range(0, 20, 2):
             net.add_node(SensorNode(i, StaticMobility(Vec2(5.0 * i, 0.0))))
-        net.warm_up()
+        if kernel == "reference":
+            ReferenceBeacons(net).start_beacons()
+            sim.run(until=sim.now + 2.0 * net.beacon_interval)
+        else:
+            net.warm_up()
         far = Vec2(0.0, 0.0)
         before = net.in_range_of(far, radius=1000.0)
         late = SensorNode(7, StaticMobility(Vec2(35.0, 1.0)))

@@ -5,8 +5,9 @@ the dense (N, N) store for the sparse one and resolves receivers
 through cell buckets instead of full pairwise rows.  These tests force
 that large-N machinery at *small* N (by monkeypatching the threshold to
 0) and require bit-identical outcomes against the dense engine and the
-legacy per-event path — the same contract
-``tests/test_beacon_equivalence.py`` proves for the dense kernel.  The
+per-event reference model (``tests/beacon_reference.py``) — the same
+contract ``tests/test_beacon_equivalence.py`` proves for the dense
+kernel.  The
 store itself is also checked against ``DenseNeighborStore`` directly,
 op by op.
 """
@@ -264,15 +265,17 @@ class TestEngineSparseEquivalence:
 
     SEEDS = (0, 1)
 
-    def _state(self, mode, seed, **kw):
-        sim, net = build_network(mode, seed, n_nodes=60, mobile=True,
-                                 **kw)
-        net.start_beacons()
+    def _state(self, kernel, seed, **kw):
+        sim, net, driver = build_network(kernel, seed, n_nodes=60,
+                                         mobile=True, **kw)
+        driver.start_beacons()
         sim.run(until=2.0)
         return sim, net
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_dense_and_legacy(self, force_sparse, seed):
+        """Sparse equals the dense engine and the per-event reference
+        model, which stands in for the removed legacy beacon path."""
         assert beacons._DENSE_MAX == 0
         _sim, net = self._state("batched", seed)
         assert net._beacon_engine._large
@@ -283,16 +286,17 @@ class TestEngineSparseEquivalence:
         beacons._DENSE_MAX = 1024
         _sim, net_d = self._state("batched", seed)
         assert not net_d._beacon_engine._large
-        _sim, net_l = self._state("legacy", seed)
+        _sim, net_r = self._state("reference", seed)
         assert beacon_state(net_d) == sparse_state
-        assert beacon_state(net_l) == sparse_state
+        assert beacon_state(net_r) == sparse_state
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_with_deaths_and_mid_interval_reads(
             self, force_sparse, seed):
-        def drive(mode):
-            sim, net = build_network(mode, seed, n_nodes=50, mobile=True)
-            net.start_beacons()
+        def drive(kernel):
+            sim, net, driver = build_network(kernel, seed, n_nodes=50,
+                                             mobile=True)
+            driver.start_beacons()
             sim.run(until=0.8)
             net.nodes[7].alive = False
             net.nodes[13].alive = False
@@ -305,7 +309,7 @@ class TestEngineSparseEquivalence:
         sparse_state = drive("batched")
         beacons._DENSE_MAX = 1024
         assert drive("batched") == sparse_state
-        assert drive("legacy") == sparse_state
+        assert drive("reference") == sparse_state
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_under_shadowing_and_loss(self, force_sparse, seed):
@@ -313,11 +317,11 @@ class TestEngineSparseEquivalence:
         candidates (max-range filter + per-link shadowing)."""
         kw = dict(loss=0.2, sigma=2.0)
         sparse_state = None
-        for phase in ("sparse", "dense", "legacy"):
+        for phase in ("sparse", "dense", "reference"):
             if phase == "dense":
                 beacons._DENSE_MAX = 1024
-            mode = "legacy" if phase == "legacy" else "batched"
-            _sim, net = self._state(mode, seed, **kw)
+            kernel = "reference" if phase == "reference" else "batched"
+            _sim, net = self._state(kernel, seed, **kw)
             state = beacon_state(net)
             if sparse_state is None:
                 sparse_state = state
@@ -325,15 +329,14 @@ class TestEngineSparseEquivalence:
                 assert state == sparse_state
 
     def test_sweep_evict_equivalent(self, force_sparse):
-        def drive(mode):
-            sim, net = build_network(mode, 5, n_nodes=40, mobile=False)
+        def drive(kernel):
+            sim, net, _ = build_network(kernel, 5, n_nodes=40,
+                                        mobile=False)
             net.start_beacons()
             sim.run(until=1.2)
             net.mute_beacons([i for i in range(40) if i % 3 == 0])
             sim.run(until=4.0)
-            engine = net._beacon_engine
-            evicted = (engine.sweep_evict(sim.now, 2.0)
-                       if engine is not None else None)
+            evicted = net._beacon_engine.sweep_evict(sim.now, 2.0)
             return evicted, beacon_state(net)
 
         ev_sparse, st_sparse = drive("batched")

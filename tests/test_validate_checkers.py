@@ -18,7 +18,8 @@ from repro.net.mac import _ActiveTx
 from repro.net.messages import Message
 from repro.sim import Simulator
 from repro.validate import (CausalityChecker, InvariantViolation,
-                            ValidationHarness, check_sector_partition,
+                            SectorChecker, ValidationHarness,
+                            check_sector_partition,
                             enable_validation, reset_validation,
                             validation_enabled)
 
@@ -90,6 +91,16 @@ def test_beacon_ledger_also_watched(validated_handle):
 
 # -- neighbor soundness -----------------------------------------------------
 
+def _write_cell(net, hearer, heard, at, position, speed,
+                velocity=Vec2(0.0, 0.0)):
+    """Write one neighbor-store cell behind the beacon kernel's back."""
+    net.flush_beacons()
+    table = net._neighbor_table
+    table.store.update_cell(table.index[hearer], table.index[heard], at,
+                            position.x, position.y, speed,
+                            velocity.x, velocity.y)
+
+
 def test_unbacked_neighbor_entry_detected(validated_handle):
     net = validated_handle.network
     node = net.nodes[0]
@@ -99,8 +110,8 @@ def test_unbacked_neighbor_entry_detected(validated_handle):
                     if n.id not in node.neighbor_table),
                    key=lambda n: n.position().distance_to(here))
     assert stranger.position().distance_to(here) > net.radio.range_m
-    node.observe_beacon(stranger.id, stranger.position(), 0.0,
-                        validated_handle.sim.now)
+    _write_cell(net, node.id, stranger.id, validated_handle.sim.now,
+                stranger.position(), 0.0)
     with pytest.raises(InvariantViolation,
                        match="neighbor-soundness.*no delivered beacon"):
         validated_handle.validator.check_now()
@@ -110,9 +121,9 @@ def test_future_beacon_timestamp_detected(validated_handle):
     node = validated_handle.network.nodes[1]
     assert node.neighbor_table, "warm-up should have filled tables"
     nbr_id, entry = next(iter(node.neighbor_table.items()))
-    node.observe_beacon(nbr_id, entry.beacon_position, entry.speed,
-                        validated_handle.sim.now + 100.0,
-                        velocity=entry.velocity)
+    _write_cell(validated_handle.network, node.id, nbr_id,
+                validated_handle.sim.now + 100.0, entry.beacon_position,
+                entry.speed, velocity=entry.velocity)
     with pytest.raises(InvariantViolation,
                        match="neighbor-soundness.*future"):
         validated_handle.validator.check_now()
@@ -204,8 +215,9 @@ def test_sector_partition_rejects_bad_count():
         check_sector_partition(Vec2(0.0, 0.0), 0)
 
 
-def _result_wrapper(handle):
-    """The (checker-wrapped) result-delivery handler as the router sees it."""
+def _result_handler(handle):
+    """The result-delivery handler as the router sees it: the protocol's
+    own, which the sector checker observes through the probe."""
     return handle.router._delivery[DIKNNProtocol.KIND_RESULT]
 
 
@@ -225,7 +237,7 @@ def test_duplicate_bundle_suppression_regression(validated_handle):
                      issued_at=validated_handle.sim.now)
     protocol._register_query(query, protocol.config.sectors,
                              lambda result: None)
-    deliver = _result_wrapper(validated_handle)
+    deliver = _result_handler(validated_handle)
     deliver(validated_handle.sink, _bundle(7777, [0]))
     protocol._sectors_seen[7777].clear()   # sabotage the suppression
     with pytest.raises(InvariantViolation,
@@ -244,7 +256,7 @@ def test_duplicate_candidates_in_bundle_detected(validated_handle):
     cand = (1, 1.0, 2.0, 0.0, 5.0, 0.0)
     with pytest.raises(InvariantViolation,
                        match="sector-algebra.*duplicate candidate"):
-        _result_wrapper(validated_handle)(
+        _result_handler(validated_handle)(
             validated_handle.sink, _bundle(7778, [1], cands=[cand, cand]))
 
 
@@ -257,7 +269,7 @@ def test_out_of_range_sector_detected(validated_handle):
                              lambda result: None)
     with pytest.raises(InvariantViolation,
                        match="sector-algebra.*outside"):
-        _result_wrapper(validated_handle)(
+        _result_handler(validated_handle)(
             validated_handle.sink,
             _bundle(7779, [protocol.config.sectors + 3]))
 
@@ -271,12 +283,38 @@ def test_duplicate_bundle_correctly_suppressed_passes(validated_handle):
                      issued_at=validated_handle.sim.now)
     protocol._register_query(query, protocol.config.sectors,
                              lambda result: None)
-    deliver = _result_wrapper(validated_handle)
+    deliver = _result_handler(validated_handle)
     deliver(validated_handle.sink, _bundle(7780, [2]))
     deliver(validated_handle.sink, _bundle(7780, [2]))  # legitimate retry
     result = protocol._result_of(7780)
     assert result.sectors_reported == 1
     assert result.meta["explored"] == 3.0
+
+
+def test_harnesses_detached_first_attached_first_leave_nothing_behind():
+    """Two harnesses on one handle, detached in attach order: the
+    protocol keeps its own ``issue`` and result handler, and neither
+    detached sector checker sees a later query, while a live one does."""
+    reset_validation()
+    handle = build_simulation(SimulationConfig(n_nodes=80, seed=3),
+                              DIKNNProtocol())
+    protocol = handle.protocol
+    first, second = ValidationHarness(), ValidationHarness()
+    first.attach_handle(handle)
+    second.attach_handle(handle)
+    first.detach()
+    second.detach()
+    assert protocol.issue.__func__ is DIKNNProtocol.issue
+    assert _result_handler(handle) == protocol._on_result
+    live = ValidationHarness(checkers=[SectorChecker])
+    live.attach_handle(handle)
+    handle.warm_up()
+    outcome = run_query(handle, Vec2(60.0, 60.0), k=10)
+    assert outcome.completed
+    detached = [c for h in (first, second) for c in h.checkers
+                if isinstance(c, SectorChecker)]
+    assert [c.checks_run for c in detached] == [0, 0]
+    assert live.checkers[0].checks_run > 0
 
 
 # -- differential outcome cross-check --------------------------------------
