@@ -163,6 +163,9 @@ def _run_pass(scn: BenchScenario, trace_memory: bool = False) -> _Pass:
             if not done:
                 handle.protocol.abandon(query.query_id)
             scenario_ok = bool(done)
+        # The beacon kernel credits its collapsed events when it
+        # flushes; flush so the count covers the last partial interval.
+        handle.network.flush_beacons()
         t3 = time.perf_counter()
         peak_kib = None
         if trace_memory:

@@ -35,6 +35,7 @@ stay near-linear in N.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -167,6 +168,51 @@ class MobilityBank:
         oy = self.oy
         px = ox + (self.dx - ox) * frac
         py = oy + (self.dy - oy) * frac
+        return px, py
+
+    def positions_many(self, ts: np.ndarray):
+        """(G, N) x and y blocks for every row at the ascending times
+        ``ts``: bitwise what :meth:`positions_all` returns called once
+        per time in order, and the bank ends in the same state.
+
+        Rows refresh by the same rule (only when a time leaves the
+        cached window, at that time), so every element sees the leg the
+        per-time calls would have cached.  One broadcast evaluates the
+        legs cached at ``ts[0]`` over all times; only rows whose leg
+        ends inside the window are then walked leg by leg, re-evaluating
+        the times each later leg covers.  Models are pure in ``t``, so
+        walking a row at a time caches the same legs as walking a time
+        at a time.
+        """
+        t_first = float(ts[0])
+        bad = np.nonzero((t_first < self.v0) | (t_first > self.v1))[0]
+        for i in bad.tolist():
+            self._refresh_row(i, t_first)
+        t0 = self.t0
+        t1 = self.t1
+        ox = self.ox
+        oy = self.oy
+        dx = self.dx
+        dy = self.dy
+        frac = (ts[:, None] - t0) / (t1 - t0)
+        np.clip(frac, 0.0, 1.0, out=frac)
+        px = ox + (dx - ox) * frac
+        py = oy + (dy - oy) * frac
+        walk = np.nonzero(self.v1 < ts[-1])[0]
+        if walk.size == 0:
+            return px, py
+        t_list = ts.tolist()
+        v1 = self.v1
+        for i in walk.tolist():
+            g = bisect_right(t_list, v1[i])
+            while g < len(t_list):
+                self._refresh_row(i, t_list[g])
+                g_end = bisect_right(t_list, v1[i], g + 1)
+                frac = (ts[g:g_end] - t0[i]) / (t1[i] - t0[i])
+                np.clip(frac, 0.0, 1.0, out=frac)
+                px[g:g_end, i] = ox[i] + (dx[i] - ox[i]) * frac
+                py[g:g_end, i] = oy[i] + (dy[i] - oy[i]) * frac
+                g = g_end
         return px, py
 
 
@@ -497,84 +543,28 @@ class BatchedBeaconEngine:
             tx_counts = np.zeros(len(self.ids), dtype=np.int64)
             rx_counts = np.zeros(len(self.ids), dtype=np.int64)
 
-        # Whole-group fast path: with no battery observer (so liveness
-        # cannot flip mid-flush), no shadowing, a lossless channel (no
-        # RNG draws to sequence) and every alive node's ledger account
-        # already created (so creation order is moot), the per-fire loop
-        # below degenerates to pure counter increments — fold the whole
-        # group into a handful of array ops instead.
+        # Fast flush: with no battery observer (so liveness cannot flip
+        # mid-flush), no shadowing, a lossless channel (no RNG draws to
+        # sequence) and every alive node's ledger account already created
+        # (so creation order is moot), the per-fire loop below
+        # degenerates to pure counter increments.  A dense store then
+        # resolves the whole flush at once; a sparse one folds each
+        # snapshot group into a handful of array ops.
         fast = (not slow_energy and not shadowing and not has_overlay
                 and base_loss == 0.0
                 and bool(self._acct_touched[self.alive_mask].all()))
 
-        n_live = len(tf_list)
-        if (fast and not self._large and not self._snap_dirty
-                and bool(self.alive_mask.all())):
-            # Whole-EPOCH fast path: everyone is alive and (per ``fast``)
-            # nothing can flip mid-flush, so the snapshot-group
-            # boundaries are a pure function of the fire times — walk
-            # them up front, evaluate every group's snapshot in ONE
-            # vectorized kinematics call, and resolve the entire epoch's
-            # receiver matrix with one set of (n_fires, N) array ops.
-            # Alive filtering is vacuous here (all alive, and any reused
-            # prefix snapshot is full by construction), so only the
-            # self-hearing diagonal needs masking.
-            eps_groups: List[float] = []   # refresh time per new group
-            g_of: List[int] = []           # per-fire group (-1 = reuse)
-            st = self.snap_t if self._snap_full else -math.inf
-            cur = -1
-            for t_f in tf_list:
-                if t_f - st >= eps:        # same float compare as the
-                    eps_groups.append(t_f)  # sequential walk below
-                    st = t_f
-                    cur += 1
-                g_of.append(cur)
-            n = len(self.ids)
-            # Row 0 is the pre-flush snapshot (serves fires before the
-            # first refresh, if any); rows 1.. are the fresh groups,
-            # evaluated one group-time at a time so mobility-leg
-            # refreshes sequence exactly as in the per-group walk.
-            sx_rows = [self.snap_x]
-            sy_rows = [self.snap_y]
-            for t_g in eps_groups:
-                px, py = self.bank.positions_all(t_g)
-                sx_rows.append(px)
-                sy_rows.append(py)
-            sxs = np.vstack(sx_rows)
-            sys_ = np.vstack(sy_rows)
-            if eps_groups:
-                self.snap_x = sx_rows[-1]
-                self.snap_y = sy_rows[-1]
-                self.snap_alive = self.alive_mask.copy()
-                self._snap_full = True
-                self.snap_t = eps_groups[-1]
-            g_row = np.array(g_of, dtype=np.intp) + 1
-            dxm = sxs[g_row]
-            dxm -= spx[:, None]
-            dxm *= dxm
-            dym = sys_[g_row]
-            dym -= spy[:, None]
-            dym *= dym
-            dxm += dym
-            in_range = dxm <= r_sq
-            in_range[np.arange(n_live), idx] = False
-            # np.nonzero is row-major: pairs sorted by (fire, receiver).
-            prows, pcols = np.nonzero(in_range)
-            row_counts = np.bincount(prows, minlength=n_live)
-            net.stats.beacons_sent += n_live
-            mac.count_lightweight_frames(n_live, net.BEACON_BYTES)
-            tx_counts += np.bincount(idx, minlength=n)
-            rx_counts += np.bincount(pcols, minlength=n)
-            n_batches = int((row_counts > 0).sum())
-            if prows.size:
-                tds = tf + self.delay
-                self.pending.append(
-                    (float(tds[0]), tds, idx.copy(), prows, pcols,
-                     spx, spy, ssp, svx, svy))
-            self._virtual_now = tf_list[-1]
+        if fast and not self._large:
+            n_batches = self._process_whole_flush(
+                tf, tf_list, idx, (spx, spy, ssp, svx, svy), tx_counts,
+                rx_counts)
             self._bulk_energy(ledger, net, tx_counts, rx_counts)
             return n_batches
 
+        # The sequential loop: per-fire RNG draws and eager charges
+        # (slow energy, shadowing, loss) or cell-bucketed candidates
+        # (sparse store).
+        n_live = len(tf_list)
         k = 0
         while k < n_live:
             t_k = tf_list[k]
@@ -612,8 +602,7 @@ class BatchedBeaconEngine:
                 in_range[np.arange(B), g_idx] = False
                 row_starts = None
             if fast:
-                if in_range is not None:
-                    prows, pcols = np.nonzero(in_range)
+                # Sparse store only: dense fast flushes never get here.
                 row_counts = np.bincount(prows, minlength=B)
                 net.stats.beacons_sent += B
                 mac.count_lightweight_frames(B, net.BEACON_BYTES)
@@ -696,6 +685,79 @@ class BatchedBeaconEngine:
         if not slow_energy:
             self._bulk_energy(ledger, net, tx_counts, rx_counts)
         return n_batches
+
+    def _process_whole_flush(self, tf: np.ndarray, tf_list: List[float],
+                             idx: np.ndarray, kin: tuple,
+                             tx_counts: np.ndarray,
+                             rx_counts: np.ndarray) -> int:
+        """Resolve every live fire of a fast dense flush in one pass;
+        returns the number of delivery batches created.
+
+        Liveness cannot flip mid-flush, so the snapshot groups the
+        sequential loop would form are a pure function of the fire
+        times: walk them up front with its rule (refresh when stale by
+        epsilon, when the snapshot is not full, or when liveness changed
+        since it was taken; after a refresh, full means everyone is
+        alive).  Every group's snapshot comes from one multi-time bank
+        call, every fire's receivers from one (n_fires, N) range matrix,
+        and the flush leaves one group record in ``pending``.  Only a
+        full snapshot is ever reused, so fires it serves need no mask
+        beyond the current ``alive_mask`` — the same one a refreshed
+        snapshot holds.
+        """
+        net = self.net
+        spx, spy = kin[0], kin[1]
+        eps = net.position_epsilon
+        all_alive = bool(self.alive_mask.all())
+        group_t: List[float] = []      # refresh time per new group
+        g_of: List[int] = []           # per-fire snapshot row (0 = old)
+        st = self.snap_t
+        full = self._snap_full and not self._snap_dirty
+        for t_f in tf_list:
+            if t_f - st >= eps or not full:
+                group_t.append(t_f)
+                st = t_f
+                full = all_alive
+            g_of.append(len(group_t))
+        if group_t:
+            gx, gy = self.bank.positions_many(np.array(group_t))
+            sxs = np.concatenate((self.snap_x[None, :], gx))
+            sys_ = np.concatenate((self.snap_y[None, :], gy))
+            self.snap_x = gx[-1].copy()
+            self.snap_y = gy[-1].copy()
+            self.snap_alive = self.alive_mask.copy()
+            self._snap_full = all_alive
+            self.snap_t = group_t[-1]
+            self._snap_dirty = False
+        else:
+            sxs = self.snap_x[None, :]
+            sys_ = self.snap_y[None, :]
+        g_row = np.array(g_of, dtype=np.intp)
+        n_live = len(tf_list)
+        dxm = sxs[g_row]
+        dxm -= spx[:, None]
+        dxm *= dxm
+        dym = sys_[g_row]
+        dym -= spy[:, None]
+        dym *= dym
+        dxm += dym
+        in_range = dxm <= net.radio.range_m ** 2
+        if not all_alive:
+            in_range &= self.alive_mask
+        in_range[np.arange(n_live), idx] = False
+        # np.nonzero is row-major: pairs sorted by (fire, receiver).
+        prows, pcols = np.nonzero(in_range)
+        n = len(self.ids)
+        net.stats.beacons_sent += n_live
+        net._beacon_mac.count_lightweight_frames(n_live, net.BEACON_BYTES)
+        tx_counts += np.bincount(idx, minlength=n)
+        rx_counts += np.bincount(pcols, minlength=n)
+        if prows.size:
+            tds = tf + self.delay
+            self.pending.append((float(tds[0]), tds, idx.copy(), prows,
+                                 pcols) + kin)
+        self._virtual_now = tf_list[-1]
+        return int(np.count_nonzero(in_range.any(axis=1)))
 
     def _bulk_energy(self, ledger, net, tx_counts: np.ndarray,
                      rx_counts: np.ndarray) -> None:

@@ -20,9 +20,12 @@ import pytest
 
 from repro.deploy import (CaribouDeployment, ClusteredDeployment,
                           UniformDeployment)
+from repro.faults import FaultInjector, FaultPlan, poisson_crashes
 from repro.geometry import Rect, Vec2
-from repro.mobility import RandomWaypointMobility, StaticMobility
+from repro.mobility import (GaussMarkovMobility, RandomWalkMobility,
+                            RandomWaypointMobility, StaticMobility)
 from repro.net import Network, RadioModel, SensorNode
+from repro.net.beacons import BatchedBeaconEngine, MobilityBank
 from repro.sim import Simulator
 
 from tests.beacon_reference import ReferenceBeacons
@@ -335,8 +338,6 @@ def test_uniform_block_draws_match_scalar_draws(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mobility_bank_matches_scalar_models(seed):
     """Bank kinematics are bit-identical to position_at/velocity_at."""
-    from repro.net.beacons import MobilityBank
-
     field = Rect.from_size(100.0, 100.0)
     rng = _rng(seed)
     sim = Simulator(seed=seed)
@@ -379,6 +380,65 @@ def test_event_accounting_credited():
     assert reference <= batched <= reference + epochs
 
 
+def _kernel_own_events(sim):
+    """The batched kernel's own kernel events (epochs and the drain
+    after a stop), which stand for no per-event-model event."""
+    seen = []
+
+    def on_event(_time, callback):
+        if getattr(callback, "__qualname__", "").startswith(
+                "BatchedBeaconEngine."):
+            seen.append(callback)
+
+    sim.probe.subscribe("kernel", on_event)
+    return seen
+
+
+def _reference_in_flight(sim):
+    """Reference deliveries scheduled but not yet run: the batched
+    kernel credits a frame's delivery event when the frame is sent."""
+    return sum(1 for e in sim._queue if not e.cancelled
+               and e.callback.__qualname__.endswith(
+                   "._fire.<locals>.<lambda>"))
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_flushed_event_count_matches_reference(restart):
+    """After a flush, ``events_executed`` less the kernel's own epoch and
+    drain events equals the per-event model's count (deliveries in the
+    air included) at arbitrary stop times — across a stop and restart
+    too, where a bare ``sim.run`` read lags."""
+    stops = sorted(_rng(11).uniform(0.05, 3.1, size=14).tolist())
+    stops.append(3.1)
+
+    def run(kernel):
+        sim, net, driver = build_network(kernel, 2, n_nodes=30,
+                                         mobile=True)
+        own = _kernel_own_events(sim)
+        driver.start_beacons()
+        phase = 0
+        counts = []
+        for t in stops:
+            if restart and phase == 0 and t >= 1.2:
+                sim.run(until=1.2)
+                driver.stop_beacons()
+                phase = 1
+            if restart and phase == 1 and t >= 2.0:
+                sim.run(until=2.0)
+                driver.start_beacons()
+                phase = 2
+            sim.run(until=t)
+            if kernel == "reference":
+                counts.append(sim.events_executed + _reference_in_flight(sim))
+            else:
+                net.flush_beacons()
+                counts.append(sim.events_executed - len(own))
+        return counts
+
+    reference, batched = run("reference"), run("batched")
+    assert batched == reference, list(zip(stops, reference, batched))
+
+
 # -- mid-interval observation purity ---------------------------------------
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -405,3 +465,153 @@ def test_mid_interval_reads_do_not_perturb(seed):
 
     for clean, polled in zip(run(False), run(True)):
         assert_states_equal(clean, polled, context=f"seed={seed}")
+
+
+# -- the whole-flush path under churn ---------------------------------------
+
+@pytest.fixture
+def whole_flushes(monkeypatch):
+    """Engine state at the entry of every whole-flush call, as pairs
+    (everyone alive, first fire reuses the pre-flush snapshot)."""
+    calls = []
+    resolve = BatchedBeaconEngine._process_whole_flush
+
+    def spy(engine, tf, tf_list, *args):
+        reuse = (engine._snap_full and not engine._snap_dirty
+                 and tf_list[0] - engine.snap_t
+                 < engine.net.position_epsilon)
+        calls.append((bool(engine.alive_mask.all()), reuse))
+        return resolve(engine, tf, tf_list, *args)
+
+    monkeypatch.setattr(BatchedBeaconEngine, "_process_whole_flush", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equal_under_churn_with_reads_resets_and_sweeps(seed,
+                                                        whole_flushes):
+    """Poisson crash/recovery plus a blackout keep many nodes down at
+    flush start, so every fast dense flush resolves with a partial
+    snapshot; mid-interval reads, table wipes and sweeps force flushes
+    at arbitrary times.  Tables, energy and evictions match the
+    reference at every boundary."""
+    n = 40
+
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=n,
+                                         mobile=True)
+        plan = FaultPlan().extend(poisson_crashes(
+            _rng(seed + 400), range(n), rate=0.3, start=0.2,
+            duration=4.5, downtime_s=0.7))
+        plan.blackout((35.0, 35.0), radius=20.0, at=1.7, duration_s=1.2)
+        driver.start_beacons()
+        driver.start_neighbor_sweep()
+        FaultInjector(sim, net, plan).install()
+        rng = _rng(seed + 500)
+        out = []
+        for boundary in np.arange(0.5, 5.01, 0.5).tolist():
+            sim.run(until=boundary - 0.31)
+            for nid in rng.choice(n, size=6, replace=False).tolist():
+                net.nodes[nid].neighbors()
+            sim.run(until=boundary - 0.17)
+            net.nodes[int(rng.integers(0, n))].reset_neighbors()
+            net.nodes[int(rng.integers(0, n))].neighbors(max_age=0.6)
+            sim.run(until=boundary)
+            out.append((beacon_state(net), net.neighbor_evictions))
+        return out
+
+    reference = run("reference")
+    assert not whole_flushes
+    batched = run("batched")
+    for i, ((rs, re), (bs, be)) in enumerate(zip(reference, batched)):
+        assert_states_equal(rs, bs, context=f"seed={seed} boundary={i}")
+        assert re == be, f"seed={seed} boundary={i}: evictions diverged"
+    with_dead = sum(1 for all_alive, _ in whole_flushes if not all_alive)
+    assert with_dead >= 20, "churn should keep nodes down at flush start"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equal_with_full_snapshot_stale_across_death(seed, whole_flushes):
+    """A full snapshot keeps serving within epsilon after a node dies:
+    the fires it serves must drop the dead receiver through the current
+    liveness, exactly as the reference model's alive check does."""
+    n = 30
+
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=n,
+                                         mobile=False, side=40.0)
+        net.position_epsilon = 0.2     # a wide reuse window
+        driver.start_beacons()
+        out = []
+        for k, t_kill in enumerate((1.013, 1.527, 2.061)):
+            sim.run(until=t_kill - 0.004)
+            net.nodes[0].neighbors()       # flush: a fresh full snapshot
+            sim.run(until=t_kill)
+            net.nodes[5 + k].alive = False  # full, now stale
+            sim.run(until=t_kill + 0.02)
+            net.nodes[1].neighbors()
+            sim.run(until=t_kill + 0.3)
+            out.append(beacon_state(net))
+        return out
+
+    for i, (r, b) in enumerate(zip(run("reference"), run("batched"))):
+        assert_states_equal(r, b, context=f"seed={seed} kill={i}")
+    assert any(not all_alive and reuse
+               for all_alive, reuse in whole_flushes), \
+        "no flush reused a full snapshot across a death"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_positions_many_matches_per_time_calls(seed):
+    """One multi-time evaluation is bitwise the per-time evaluations in
+    order, and leaves the bank's cached legs the same: legs ending
+    inside the window (several per window here), RWP pauses, the
+    zero-length leg at t = 0, static and degenerate-static nodes, and
+    models with no closed form."""
+    field = Rect.from_size(20.0, 20.0)
+
+    def models():
+        rng = _rng(seed)
+        sim = Simulator(seed=seed)
+        out = []
+        for i in range(14):
+            pos = Vec2(float(rng.uniform(0, 20)), float(rng.uniform(0, 20)))
+            stream = sim.rng.stream(f"mobility.{i}")
+            kind = i % 7
+            if kind == 0:
+                out.append(StaticMobility(pos))
+            elif kind == 1:
+                out.append(RandomWaypointMobility(pos, field, stream,
+                                                  max_speed=0.0))
+            elif kind == 2:
+                out.append(RandomWaypointMobility(pos, field, stream,
+                                                  max_speed=30.0,
+                                                  pause_time=0.3))
+            elif kind == 3:
+                out.append(GaussMarkovMobility(pos, field, stream,
+                                               mean_speed=5.0, step_s=0.4))
+            elif kind == 4:
+                out.append(RandomWalkMobility(pos, field, stream, speed=4.0,
+                                              mean_epoch=0.5))
+            else:
+                out.append(RandomWaypointMobility(pos, field, stream,
+                                                  max_speed=40.0))
+        return out
+
+    many = MobilityBank(models())
+    each = MobilityBank(models())
+    rng = _rng(seed + 600)
+    start = 0.0
+    for _ in range(6):
+        ts = np.sort(rng.uniform(start, start + 2.0, size=17))
+        ts[0] = start
+        ts[5] = ts[4]                       # a repeated time
+        gx, gy = many.positions_many(ts)
+        for g, t in enumerate(ts.tolist()):
+            px, py = each.positions_all(t)
+            assert gx[g].tolist() == px.tolist(), (g, t)
+            assert gy[g].tolist() == py.tolist(), (g, t)
+        for name in ("t0", "t1", "ox", "oy", "dx", "dy", "v0", "v1"):
+            assert getattr(many, name).tolist() == \
+                getattr(each, name).tolist(), name
+        start = float(ts[-1])
