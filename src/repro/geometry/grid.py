@@ -74,6 +74,13 @@ class SpatialGrid:
         self._col_index = None
         self._col_materialized = False
 
+    def columns(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The columnar contents as ``(keys, xs, ys)`` arrays, or None in
+        classic mode.  Read-only views: do not mutate."""
+        if self._col_keys is None:
+            return None
+        return self._col_keys, self._col_x, self._col_y
+
     def _key_index(self) -> Dict[Hashable, int]:
         if self._col_index is None:
             self._col_index = {

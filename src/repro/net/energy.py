@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 from ..sim.probe import Probe
 
@@ -239,6 +239,43 @@ class EnergyLedger:
                 fn(node_id, "rx", cost)
         self._check_battery(node_id)
         return cost
+
+    def charge_rx_many(self, node_ids: Sequence[int],
+                       bits: Sequence[int]) -> None:
+        """Charge one reception per ``(node_ids[i], bits[i])``, in order.
+
+        Bitwise-equal to that sequence of :meth:`charge_rx` calls (one
+        MAC frame's receivers): each account gets the same adds and the
+        running total the same chronological sum.  While the probe
+        channel has subscribers, a battery is armed or a deferred-charge
+        source is set, every charge goes through the account gateway, is
+        emitted and is checked for depletion before the next is applied,
+        exactly as the sequential calls do.
+        """
+        rx_cost = self.model.rx_cost
+        account = self.account
+        if self.observed or self.capacity_j is not None \
+                or self.lazy_source is not None:
+            for node_id, b in zip(node_ids, bits):
+                cost = rx_cost(b)
+                account(node_id).rx_j += cost
+                self._running_j += cost
+                for fn in getattr(self.probe, self.channel):
+                    fn(node_id, "rx", cost)
+                self._check_battery(node_id)
+            return
+        # Unobserved, unarmed and nothing deferred: straight to the
+        # account dict.
+        accounts = self._accounts
+        running = self._running_j
+        for node_id, b in zip(node_ids, bits):
+            cost = rx_cost(b)
+            acct = accounts.get(node_id)
+            if acct is None:
+                acct = account(node_id)
+            acct.rx_j += cost
+            running += cost
+        self._running_j = running
 
     def charge_tx_repeated(self, node_id: int, bits: int, distance_m: float,
                            count: int) -> float:

@@ -19,6 +19,7 @@ independently with ``collision_coeff``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..geometry import Vec2
@@ -30,6 +31,8 @@ from .txindex import ActiveTxIndex
 
 DeliverFn = Callable[[int, Message], None]
 FailFn = Callable[[Message], None]
+#: a frame's PHY receivers as parallel columns: ids (ascending), x, y
+Receivers = Tuple[Sequence[int], Sequence[float], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ class MacLayer:
         return residual + slots * self.config.slot_time_s
 
     def transmit(self, sender: int, sender_pos: Vec2, message: Message,
-                 receivers: Sequence[Tuple[int, Vec2]],
+                 receivers: Receivers,
                  deliver: DeliverFn,
                  on_unicast_fail: Optional[FailFn] = None) -> None:
         """Send ``message`` from ``sender`` to the PHY neighborhood.
@@ -224,7 +227,8 @@ class MacLayer:
             sender: transmitting node id.
             sender_pos: its position at transmission time.
             message: the frame; ``message.dst`` selects broadcast vs unicast.
-            receivers: all nodes in radio range with their positions.
+            receivers: all nodes in radio range as parallel
+                ``(ids, xs, ys)`` sequences (ids, then positions).
             deliver: callback invoked per successful reception.
             on_unicast_fail: invoked when a unicast exhausts its retries.
         """
@@ -252,7 +256,7 @@ class MacLayer:
 
     def _transmit_attempt(self, sender: int, sender_pos: Vec2,
                           message: Message,
-                          receivers: Sequence[Tuple[int, Vec2]],
+                          receivers: Receivers,
                           deliver: DeliverFn,
                           on_unicast_fail: Optional[FailFn],
                           attempt: int) -> None:
@@ -267,8 +271,95 @@ class MacLayer:
 
         self.sim.schedule_in(backoff, _begin)
 
+    def _interference_counts(self, xs: Sequence[float],
+                             ys: Sequence[float], start: float, end: float,
+                             sender: int) -> Optional[List[int]]:
+        """Per receiver, the number of other senders' transmissions
+        overlapping [start, end) within interference range of it — what
+        ``_interferers_near`` counts — from one pass over the active set;
+        None when no such transmission exists at all."""
+        others = [(tx.pos.x, tx.pos.y) for tx in self._active
+                  if tx.sender != sender
+                  and not (tx.end <= start or tx.start >= end)]
+        if not others:
+            return None
+        r_sq = self.radio.interference_range_m ** 2
+        counts = [0] * len(xs)
+        for ox, oy in others:
+            counts = [c + ((ox - x) * (ox - x) + (oy - y) * (oy - y) <= r_sq)
+                      for c, x, y in zip(counts, xs, ys)]
+        return counts
+
+    def _resolve_frame(self, sender: int, message: Message,
+                       receivers: Receivers, start: float, end: float,
+                       attempt: int) -> List[int]:
+        """Decide which receivers decode a frame on the air over
+        [start, end), charge their reception, count and report the
+        losses, and return the addressed receivers it reached.
+
+        One pass per frame: interference counts for every receiver,
+        then per receiver in order the draws it needs (channel loss when
+        loss > 0, then a collision draw when it has interferers and
+        survived the channel), so the ``mac`` stream is consumed exactly
+        as a receiver-by-receiver loop would; the surviving receivers
+        are charged in that order by one ledger call.
+        """
+        cfg = self.config
+        bits = (message.size_bytes + self.radio.header_bytes) * 8
+        overheard_bits = (self.radio.header_bytes * 8
+                          if cfg.overhear_header_only else bits)
+        ids, xs, ys = receivers
+        dst = message.dst
+        broadcast = message.is_broadcast
+        n_intf = (None if cfg.contention_free
+                  else self._interference_counts(xs, ys, start, end, sender))
+        loss = self.loss_rate()
+        if loss > 0.0 and n_intf is not None:
+            # How many collision draws follow depends on the channel
+            # draws: one scalar draw at a time.
+            draw = self._rng.random
+        else:
+            # The count is known up front (one per receiver on a lossy
+            # channel, else one per receiver with interferers), and one
+            # vector draw consumes the stream as that many scalar draws.
+            n_draws = (len(ids) if loss > 0.0
+                       else 0 if n_intf is None
+                       else sum(1 for k in n_intf if k))
+            draw = (iter(self._rng.random(n_draws).tolist()).__next__
+                    if n_draws else None)
+        survive = 1.0 - cfg.collision_coeff
+        rx_ids: List[int] = []
+        rx_bits: List[int] = []
+        delivered_to: List[int] = []
+        lost_ch = lost_col = 0
+        for rid, k in zip(ids, repeat(0) if n_intf is None else n_intf):
+            addressed = broadcast or rid == dst
+            if loss > 0.0 and draw() < loss:
+                if addressed:
+                    lost_ch += 1
+                continue
+            if k and draw() >= survive ** k:
+                if addressed:
+                    lost_col += 1
+                continue
+            rx_ids.append(rid)
+            if addressed:
+                rx_bits.append(bits)
+                delivered_to.append(rid)
+            else:
+                rx_bits.append(overheard_bits)
+        self.stats.frames_lost_channel += lost_ch
+        self.stats.frames_lost_collision += lost_col
+        self.ledger.charge_rx_many(rx_ids, rx_bits)
+        if lost_ch or lost_col:
+            for fn in self._probe.mac_frame:
+                fn(start, kind=message.kind, sender=sender,
+                   dst=message.dst, lost_channel=lost_ch,
+                   lost_collision=lost_col, attempt=attempt)
+        return delivered_to
+
     def _do_transmit(self, sender: int, sender_pos: Vec2, message: Message,
-                     receivers: Sequence[Tuple[int, Vec2]],
+                     receivers: Receivers,
                      deliver: DeliverFn, on_unicast_fail: Optional[FailFn],
                      attempt: int) -> None:
         cfg = self.config
@@ -276,7 +367,6 @@ class MacLayer:
         start = self.sim.now
         end = start + airtime
         bits = (message.size_bytes + self.radio.header_bytes) * 8
-        header_bits = self.radio.header_bytes * 8
 
         self._prune_active()
         self._active.append(_ActiveTx(start, end, sender_pos, sender))
@@ -284,46 +374,9 @@ class MacLayer:
         self.stats.frames_sent += 1
         self.stats.bytes_sent += message.size_bytes
 
-        delivered_to: List[int] = []
-        unicast_ok = False
-        lost_ch = lost_col = 0
-        loss = self.loss_rate()
-        for rid, rpos in receivers:
-            addressed = message.is_broadcast or rid == message.dst
-            lost_channel = loss > 0.0 and self._rng.random() < loss
-            n_intf = (0 if cfg.contention_free
-                      else self._interferers_near(rpos, start, end, sender))
-            lost_collision = False
-            if n_intf and not lost_channel:
-                p_survive = (1.0 - cfg.collision_coeff) ** n_intf
-                lost_collision = self._rng.random() >= p_survive
-            if lost_channel:
-                if addressed:
-                    self.stats.frames_lost_channel += 1
-                    lost_ch += 1
-                continue
-            if lost_collision:
-                if addressed:
-                    self.stats.frames_lost_collision += 1
-                    lost_col += 1
-                continue
-            if addressed:
-                self.ledger.charge_rx(rid, bits)
-                delivered_to.append(rid)
-                if rid == message.dst:
-                    unicast_ok = True
-            elif cfg.overhear_header_only:
-                self.ledger.charge_rx(rid, header_bits)
-            else:
-                self.ledger.charge_rx(rid, bits)
-
+        delivered_to = self._resolve_frame(sender, message, receivers,
+                                           start, end, attempt)
         delay = airtime + self.radio.propagation_delay_s
-
-        if lost_ch or lost_col:
-            for fn in self._probe.mac_frame:
-                fn(start, kind=message.kind, sender=sender,
-                   dst=message.dst, lost_channel=lost_ch,
-                   lost_collision=lost_col, attempt=attempt)
 
         if message.is_broadcast:
             if delivered_to:
@@ -336,8 +389,8 @@ class MacLayer:
                 self.sim.schedule_in(delay, _deliver_bcast)
             return
 
-        # Unicast with ARQ.
-        if unicast_ok:
+        # Unicast with ARQ: only the destination can be delivered to.
+        if delivered_to:
             self.stats.frames_delivered += 1
             ack_bits = (cfg.ack_bytes + self.radio.header_bytes) * 8
             self.ledger.charge_tx(message.dst, ack_bits, self.radio.range_m)

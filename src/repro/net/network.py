@@ -15,13 +15,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..geometry import SpatialGrid, Vec2
 from ..sim.engine import PeriodicTask, Simulator
 from ..sim.errors import ConfigurationError
 from . import beacons
 from .beacons import BatchedBeaconEngine
 from .energy import EnergyLedger, EnergyModel
-from .mac import MacConfig, MacLayer
+from .mac import MacConfig, MacLayer, Receivers
 from .messages import Message
 from .neighbor_store import NeighborTable
 from .node import SensorNode
@@ -82,6 +84,9 @@ class Network:
         self._grid = SpatialGrid(cell_size=self.radio.range_m)
         self._link_factor_cache: Dict[tuple, float] = {}
         self._grid_time = -math.inf
+        # Beacon-engine rows of the columnar grid's entries, so liveness
+        # at send time is one gather from the engine's alive mask.
+        self._grid_rows: Optional[np.ndarray] = None
         # Built by the first start_beacons() and kept for the run.
         self._neighbor_table: Optional[NeighborTable] = None
         self._beacon_engine: Optional[BatchedBeaconEngine] = None
@@ -119,14 +124,48 @@ class Network:
         now = self.sim.now
         if now - self._grid_time < self.position_epsilon and len(self._grid) == len(self.nodes):
             return
-        if self._beacon_engine is not None:
-            ids, xs, ys = self._beacon_engine.grid_columns(now)
+        engine = self._beacon_engine
+        if engine is not None:
+            ids, xs, ys = engine.grid_columns(now)
             self._grid.bulk_load_columns(ids, xs, ys)
+            self._grid_rows = np.flatnonzero(engine.alive_mask)
         else:
             self._grid.bulk_load(
                 (node.id, node.mobility.position_at(now))
                 for node in self.nodes.values() if node.alive)
         self._grid_time = now
+
+    def _within(self, position: Vec2, radius: float,
+                exclude: Optional[int] = None) -> Receivers:
+        """PHY-index entries within ``radius`` of ``position`` as parallel
+        ``(ids, xs, ys)`` lists in ascending id order.  With ``exclude``
+        (a sender id), that node and every node that died since the
+        index was refreshed are left out.
+
+        On the columnar index (beacons started) this is one vectorized
+        range test plus one liveness gather; the classic index (before
+        beacons first start) answers from its buckets.
+        """
+        self._sync_grid()
+        if radius < 0.0:
+            return [], [], []
+        grid = self._grid
+        cols = grid.columns()
+        if cols is None:
+            ids = grid.within_ids(position, radius)
+            if exclude is not None:
+                ids = [nid for nid in ids
+                       if nid != exclude and self.nodes[nid].alive]
+            pts = [grid.position_of(nid) for nid in ids]
+            return ids, [p.x for p in pts], [p.y for p in pts]
+        keys, xs, ys = cols
+        dx = xs - position.x
+        dy = ys - position.y
+        mask = dx * dx + dy * dy <= radius * radius
+        if exclude is not None:
+            mask &= self._beacon_engine.alive_mask[self._grid_rows]
+            mask &= keys != exclude
+        return keys[mask].tolist(), xs[mask].tolist(), ys[mask].tolist()
 
     def in_range_of(self, position: Vec2,
                     radius: Optional[float] = None) -> List[Tuple[int, Vec2]]:
@@ -136,10 +175,9 @@ class Network:
         Positions come from the PHY spatial index (near-exact; see
         ``position_epsilon``).
         """
-        self._sync_grid()
         r = radius if radius is not None else self.radio.range_m
-        return [(nid, self._grid.position_of(nid))
-                for nid in self._grid.within_ids(position, r)]
+        ids, xs, ys = self._within(position, r)
+        return [(nid, Vec2(x, y)) for nid, x, y in zip(ids, xs, ys)]
 
     def link_range(self, a: int, b: int) -> float:
         """Effective radio reach of the link a -> b.
@@ -166,20 +204,21 @@ class Network:
             self._link_factor_cache[key] = factor
         return self.radio.range_m * factor
 
-    def _receivers_for(self, sender_id: int,
-                       position: Vec2) -> List[Tuple[int, Vec2]]:
+    def _receivers_for(self, sender_id: int, position: Vec2) -> Receivers:
         """PHY receivers of a frame sent by ``sender_id`` at ``position``,
-        honoring per-link shadowing and node liveness."""
+        as the MAC's parallel ``(ids, xs, ys)`` columns, honoring per-link
+        shadowing and node liveness."""
         if self.radio.shadowing_sigma == 0.0:
-            return [(nid, p) for nid, p in self.in_range_of(position)
-                    if nid != sender_id and self.nodes[nid].alive]
-        out = []
-        for nid, p in self.in_range_of(position,
-                                       self.radio.max_range_m):
-            if nid == sender_id or not self.nodes[nid].alive:
-                continue
-            if p.distance_to(position) <= self.link_range(sender_id, nid):
-                out.append((nid, p))
+            return self._within(position, self.radio.range_m, sender_id)
+        ids, xs, ys = self._within(position, self.radio.max_range_m,
+                                   sender_id)
+        out: Receivers = ([], [], [])
+        for nid, x, y in zip(ids, xs, ys):
+            if Vec2(x, y).distance_to(position) <= \
+                    self.link_range(sender_id, nid):
+                out[0].append(nid)
+                out[1].append(x)
+                out[2].append(y)
         return out
 
     def nearest_node(self, position: Vec2,

@@ -10,7 +10,6 @@ message-kind handlers; the node itself is protocol-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -26,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Handler = Callable[["SensorNode", Message], None]
 
 
-@dataclass
 class NeighborEntry:
     """What a node knows about one neighbor, as of the last beacon heard.
 
@@ -34,23 +32,71 @@ class NeighborEntry:
     beaconed velocity to the read time, which keeps neighbor tables usable
     between beacons even at high node speeds.  ``beacon_position`` preserves
     the raw reported location.
+
+    Only ``position`` is stored as a ``Vec2``; the beaconed location and
+    velocity are kept as floats and built on access, since a neighbor
+    read makes one entry per row cell and protocols rarely look at them.
     """
 
-    node_id: int
-    position: Vec2
-    speed: float
-    heard_at: float
-    beacon_position: Vec2 = None  # type: ignore[assignment]
-    velocity: Vec2 = Vec2(0.0, 0.0)
+    __slots__ = ("node_id", "position", "speed", "heard_at",
+                 "_bx", "_by", "_vx", "_vy")
 
-    def __post_init__(self) -> None:
-        if self.beacon_position is None:
-            self.beacon_position = self.position
+    def __init__(self, node_id: int, position: Vec2, speed: float,
+                 heard_at: float, beacon_position: Optional[Vec2] = None,
+                 velocity: Vec2 = Vec2(0.0, 0.0)):
+        self.node_id = node_id
+        self.position = position
+        self.speed = speed
+        self.heard_at = heard_at
+        self._bx, self._by = (position if beacon_position is None
+                              else beacon_position)
+        self._vx, self._vy = velocity
+
+    @property
+    def beacon_position(self) -> Vec2:
+        return Vec2(self._bx, self._by)
+
+    @property
+    def velocity(self) -> Vec2:
+        return Vec2(self._vx, self._vy)
+
+    def _key(self) -> tuple:
+        return (self.node_id, self.position, self.speed, self.heard_at,
+                self._bx, self._by, self._vx, self._vy)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable: not hashable
+
+    def __repr__(self) -> str:
+        return (f"NeighborEntry(node_id={self.node_id!r}, "
+                f"position={self.position!r}, speed={self.speed!r}, "
+                f"heard_at={self.heard_at!r}, "
+                f"beacon_position={self.beacon_position!r}, "
+                f"velocity={self.velocity!r})")
 
     def predicted_position(self, now: float) -> Vec2:
         age = max(0.0, now - self.heard_at)
-        return Vec2(self.beacon_position.x + self.velocity.x * age,
-                    self.beacon_position.y + self.velocity.y * age)
+        return Vec2(self._bx + self._vx * age, self._by + self._vy * age)
+
+
+def _entry(node_id: int, x: float, y: float, speed: float, heard_at: float,
+           bx: float, by: float, vx: float, vy: float) -> NeighborEntry:
+    """A :class:`NeighborEntry` from one store row cell's floats, without
+    the public constructor's ``Vec2`` unpacking."""
+    entry = object.__new__(NeighborEntry)
+    entry.node_id = node_id
+    entry.position = Vec2(x, y)
+    entry.speed = speed
+    entry.heard_at = heard_at
+    entry._bx = bx
+    entry._by = by
+    entry._vx = vx
+    entry._vy = vy
+    return entry
 
 
 class SensorNode:
@@ -170,8 +216,7 @@ class SensorNode:
             age = np.maximum(now - t, 0.0)
             px, py = bx + vx * age, by + vy * age
         ids = self.network._neighbor_table.ids[cols].tolist()
-        return [NeighborEntry(i, Vec2(x, y), s, h, beacon_position=Vec2(b, c),
-                              velocity=Vec2(u, w))
+        return [_entry(i, x, y, s, h, b, c, u, w)
                 for i, x, y, s, h, b, c, u, w in zip(
                     ids, px.tolist(), py.tolist(), sp.tolist(), t.tolist(),
                     bx.tolist(), by.tolist(), vx.tolist(), vy.tolist())]

@@ -15,9 +15,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .errors import SimulationError
 from .probe import Probe
@@ -26,33 +25,24 @@ from .rng import RngRegistry
 EventCallback = Callable[[], None]
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Opaque handle allowing a scheduled event to be cancelled."""
+    """A scheduled event; the handle ``schedule_at`` returns, which can
+    cancel it.
 
-    __slots__ = ("_event",)
+    The queue orders ``(time, seq, event)`` tuples, so heap sifts compare
+    floats and ints in C and never reach the event itself.
+    """
 
-    def __init__(self, event: _ScheduledEvent):
-        self._event = event
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: EventCallback):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already ran or was cancelled."""
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+        self.cancelled = True
 
 
 class Simulator:
@@ -61,7 +51,8 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now = 0.0
         self.rng = RngRegistry(seed)
-        self._queue: List[_ScheduledEvent] = []
+        #: heap of (time, seq, event); seq breaks ties in scheduling order
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_executed = 0
         self._running = False
@@ -78,9 +69,9 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: {time} < now {self.now}")
-        event = _ScheduledEvent(time, next(self._seq), callback)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        event = EventHandle(time, callback)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
+        return event
 
     def schedule_in(self, delay: float, callback: EventCallback) -> EventHandle:
         """Schedule ``callback`` after ``delay`` simulated seconds."""
@@ -119,25 +110,27 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         executed = 0
+        limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         probe = self.probe
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue:
-                event = self._queue[0]
+            while queue:
+                time, _seq, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     continue
-                if until is not None and event.time > until:
+                if time > limit or executed >= budget:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                heapq.heappop(self._queue)
-                self.now = event.time
+                heappop(queue)
+                self.now = time
                 self._events_executed += 1
                 executed += 1
                 kernel = probe.kernel
                 if kernel:
                     for fn in kernel:
-                        fn(event.time, event.callback)
+                        fn(time, event.callback)
                 timed = probe.kernel_timed
                 if timed:
                     t0 = perf_counter()
@@ -170,18 +163,20 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _t, _s, e in self._queue if not e.cancelled)
 
     @property
     def events_executed(self) -> int:
         return self._events_executed
 
     def peek_next_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or None if the queue is empty."""
-        for event in sorted(self._queue)[:]:
-            if not event.cancelled:
-                return event.time
-        return None
+        """Time of the earliest pending event, or None if the queue is empty.
+
+        Cancelled events at the head are discarded, as :meth:`run` does."""
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
 
 class PeriodicTask:

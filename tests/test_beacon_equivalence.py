@@ -397,7 +397,7 @@ def _kernel_own_events(sim):
 def _reference_in_flight(sim):
     """Reference deliveries scheduled but not yet run: the batched
     kernel credits a frame's delivery event when the frame is sent."""
-    return sum(1 for e in sim._queue if not e.cancelled
+    return sum(1 for _t, _s, e in sim._queue if not e.cancelled
                and e.callback.__qualname__.endswith(
                    "._fire.<locals>.<lambda>"))
 

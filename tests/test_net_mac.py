@@ -25,7 +25,7 @@ class TestBroadcastDelivery:
         sim, mac, _ = make_mac()
         got = []
         mac.transmit(0, Vec2(0, 0), msg(),
-                     receivers=[(1, Vec2(5, 0)), (2, Vec2(0, 5))],
+                     receivers=([1, 2], [5, 0], [0, 5]),
                      deliver=lambda nid, m: got.append(nid))
         sim.run()
         assert sorted(got) == [1, 2]
@@ -35,7 +35,7 @@ class TestBroadcastDelivery:
         radio = mac.radio
         times = []
         mac.transmit(0, Vec2(0, 0), msg(size=100),
-                     receivers=[(1, Vec2(5, 0))],
+                     receivers=([1], [5], [0]),
                      deliver=lambda nid, m: times.append(sim.now))
         sim.run()
         assert times[0] >= radio.airtime(100)
@@ -45,14 +45,14 @@ class TestBroadcastDelivery:
         got = []
         for _ in range(50):
             mac.transmit(0, Vec2(0, 0), msg(),
-                         receivers=[(1, Vec2(5, 0))],
+                         receivers=([1], [5], [0]),
                          deliver=lambda nid, m: got.append(nid))
         sim.run()
         assert len(got) < 10  # almost everything lost
 
     def test_no_receivers_is_fine(self):
         sim, mac, _ = make_mac()
-        mac.transmit(0, Vec2(0, 0), msg(), receivers=[],
+        mac.transmit(0, Vec2(0, 0), msg(), receivers=([], [], []),
                      deliver=lambda nid, m: pytest.fail("ghost delivery"))
         sim.run()
 
@@ -62,7 +62,7 @@ class TestUnicastArq:
         sim, mac, ledger = make_mac()
         got = []
         mac.transmit(0, Vec2(0, 0), msg(dst=1),
-                     receivers=[(1, Vec2(5, 0)), (2, Vec2(0, 5))],
+                     receivers=([1, 2], [5, 0], [0, 5]),
                      deliver=lambda nid, m: got.append(nid))
         sim.run()
         assert got == [1]
@@ -73,7 +73,7 @@ class TestUnicastArq:
         sim, mac, _ = make_mac(radio=RadioModel(base_loss_rate=0.999))
         failures = []
         mac.transmit(0, Vec2(0, 0), msg(dst=1),
-                     receivers=[(1, Vec2(5, 0))],
+                     receivers=([1], [5], [0]),
                      deliver=lambda nid, m: None,
                      on_unicast_fail=lambda m: failures.append(m))
         sim.run()
@@ -85,7 +85,7 @@ class TestUnicastArq:
         sim, mac, _ = make_mac()
         failures = []
         mac.transmit(0, Vec2(0, 0), msg(dst=9),
-                     receivers=[(1, Vec2(5, 0))],
+                     receivers=([1], [5], [0]),
                      deliver=lambda nid, m: pytest.fail("should not deliver"),
                      on_unicast_fail=lambda m: failures.append(m))
         sim.run()
@@ -94,7 +94,7 @@ class TestUnicastArq:
     def test_overhearing_charges_header_only(self):
         sim, mac, ledger = make_mac()
         mac.transmit(0, Vec2(0, 0), msg(dst=1, size=200),
-                     receivers=[(1, Vec2(5, 0)), (2, Vec2(0, 5))],
+                     receivers=([1, 2], [5, 0], [0, 5]),
                      deliver=lambda nid, m: None)
         sim.run()
         # Node 2 (overhearer) pays far less rx than node 1 (addressee).
@@ -110,11 +110,11 @@ class TestCollisions:
         # Two senders within interference range of each other's receivers,
         # same instant, zero backoff spread -> guaranteed overlap.
         mac.transmit(0, Vec2(0, 0), msg(dst=2, size=200),
-                     receivers=[(2, Vec2(5, 0))],
+                     receivers=([2], [5], [0]),
                      deliver=lambda nid, m: got.append(("a", nid)))
         mac.transmit(1, Vec2(10, 0), Message(kind="t", src=1, dst=3,
                                              size_bytes=200),
-                     receivers=[(3, Vec2(15, 0))],
+                     receivers=([3], [15], [0]),
                      deliver=lambda nid, m: got.append(("b", nid)))
         sim.run()
         assert mac.stats.frames_lost_collision >= 1
@@ -125,11 +125,11 @@ class TestCollisions:
         sim, mac, _ = make_mac(config=config)
         got = []
         mac.transmit(0, Vec2(0, 0), msg(dst=2),
-                     receivers=[(2, Vec2(5, 0))],
+                     receivers=([2], [5], [0]),
                      deliver=lambda nid, m: got.append(nid))
         mac.transmit(1, Vec2(1000, 0), Message(kind="t", src=1, dst=3,
                                                size_bytes=20),
-                     receivers=[(3, Vec2(1005, 0))],
+                     receivers=([3], [1005], [0]),
                      deliver=lambda nid, m: got.append(nid))
         sim.run()
         assert sorted(got) == [2, 3]
@@ -140,7 +140,7 @@ class TestCollisions:
         # Start a long transmission, then ask for a backoff nearby: it must
         # at least wait out the residual airtime.
         mac.transmit(5, Vec2(0, 0), msg(size=5000),
-                     receivers=[(1, Vec2(5, 0))],
+                     receivers=([1], [5], [0]),
                      deliver=lambda nid, m: None)
         sim.run(max_events=1)
         delay = mac.backoff_delay(Vec2(1, 0))
@@ -154,7 +154,7 @@ class TestSenderSerialization:
         done = []
         for i in range(10):
             mac.transmit(0, Vec2(0, 0), msg(size=500),
-                         receivers=[(1, Vec2(5, 0))],
+                         receivers=([1], [5], [0]),
                          deliver=lambda nid, m: done.append(sim.now))
         sim.run()
         assert len(done) == 10
@@ -166,7 +166,7 @@ class TestSenderSerialization:
         done = []
         for i in range(5):
             mac.transmit(i, Vec2(i * 1000.0, 0), msg(size=500),
-                         receivers=[(100 + i, Vec2(i * 1000.0 + 5, 0))],
+                         receivers=([100 + i], [i * 1000.0 + 5], [0]),
                          deliver=lambda nid, m: done.append(sim.now))
         sim.run()
         span = max(done) - min(done)
@@ -177,7 +177,7 @@ class TestEnergyAccounting:
     def test_tx_and_rx_charged(self):
         sim, mac, ledger = make_mac()
         mac.transmit(0, Vec2(0, 0), msg(size=100),
-                     receivers=[(1, Vec2(5, 0))],
+                     receivers=([1], [5], [0]),
                      deliver=lambda nid, m: None)
         sim.run()
         assert ledger.account(0).tx_j > 0
@@ -186,13 +186,13 @@ class TestEnergyAccounting:
     def test_retries_cost_energy(self):
         sim1, mac1, ledger1 = make_mac(radio=RadioModel(base_loss_rate=0.0))
         mac1.transmit(0, Vec2(0, 0), msg(dst=1),
-                      receivers=[(1, Vec2(5, 0))],
+                      receivers=([1], [5], [0]),
                       deliver=lambda nid, m: None)
         sim1.run()
         sim2, mac2, ledger2 = make_mac(
             radio=RadioModel(base_loss_rate=0.999))
         mac2.transmit(0, Vec2(0, 0), msg(dst=1),
-                      receivers=[(1, Vec2(5, 0))],
+                      receivers=([1], [5], [0]),
                       deliver=lambda nid, m: None)
         sim2.run()
         assert ledger2.account(0).tx_j > 2 * ledger1.account(0).tx_j

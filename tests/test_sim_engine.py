@@ -99,6 +99,58 @@ class TestRunControl:
         h.cancel()
         assert sim.peek_next_time() == 2.0
 
+    def test_peek_discards_cancelled_heads_only(self):
+        """Cancelled events at the head leave the queue on a peek, as
+        ``run`` would drop them; a cancelled event behind a live head
+        stays until it surfaces.  Nothing else changes."""
+        sim = Simulator()
+        early = [sim.schedule_at(t, lambda: None) for t in (0.5, 1.0)]
+        sim.schedule_at(2.0, lambda: None)
+        late = sim.schedule_at(3.0, lambda: None)
+        sim.schedule_at(4.0, lambda: None)
+        for h in early + [late]:
+            h.cancel()
+        assert sim.pending_events == 2
+        assert sim.peek_next_time() == 2.0
+        assert len(sim._queue) == 3
+        assert sim.peek_next_time() == 2.0
+        assert sim.pending_events == 2
+        sim.run()
+        assert sim.events_executed == 2
+        assert sim.peek_next_time() is None
+
+    def test_peek_on_empty_and_all_cancelled_queue(self):
+        sim = Simulator()
+        assert sim.peek_next_time() is None
+        handles = [sim.schedule_at(float(t), lambda: None) for t in (3, 1, 2)]
+        for h in handles:
+            h.cancel()
+        assert sim.pending_events == 0
+        assert sim.peek_next_time() is None
+
+    def test_equal_times_keep_scheduling_order_through_the_heap(self):
+        """Ties at one time run in scheduling order however the heap
+        is sifted (cancellations and interleaved times included)."""
+        sim = Simulator()
+        order = []
+        handles = []
+        for i in range(40):
+            t = float(i % 4)
+            handles.append(sim.schedule_at(
+                t, lambda i=i: order.append(i)))
+        for h in handles[5::7]:
+            h.cancel()
+        sim.run()
+        cancelled = set(range(5, 40, 7))
+        expect = sorted((i for i in range(40) if i not in cancelled),
+                        key=lambda i: (i % 4, i))
+        assert order == expect
+
+    def test_handle_reports_its_time(self):
+        sim = Simulator()
+        h = sim.schedule_in(2.5, lambda: None)
+        assert h.time == 2.5 and not h.cancelled
+
     def test_reentrant_run_rejected(self):
         sim = Simulator()
 
