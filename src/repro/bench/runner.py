@@ -178,11 +178,9 @@ def _run_pass(scn: BenchScenario, trace_memory: bool = False) -> _Pass:
             completed=scenario_ok,
             peak_mem_kib=peak_kib)
         from ..metrics.outcome import energy_dispersion
-        ledger = handle.network.ledger
-        ledger.sync()
         result.energy = energy_dispersion(
             {nid: acct.total_j
-             for nid, acct in ledger._accounts.items()})
+             for nid, acct in handle.network.ledger.accounts().items()})
         if harness is not None:
             harness.finalize()
             result.validate = {"checkpoints": harness.checkpoints_run,

@@ -186,10 +186,9 @@ def run_workload(config: SimulationConfig,
                          duration_s=duration,
                          params={"k": k, "max_speed": config.max_speed,
                                  "seed": config.seed})
-    ledger = network.ledger
-    ledger.sync()
     metrics.energy_dispersion = energy_dispersion(
-        {nid: acct.total_j for nid, acct in ledger._accounts.items()})
+        {nid: acct.total_j
+         for nid, acct in network.ledger.accounts().items()})
     if handle.obs is not None:
         metrics.obs = handle.obs.run_summary()
     return metrics

@@ -142,22 +142,15 @@ class FaultInjector:
     # -- link degradation --------------------------------------------------
 
     def _install_loss_overlay(self) -> None:
-        self.network.mac.loss_overlay = self.extra_loss_now
-        self.network._beacon_mac.loss_overlay = self.extra_loss_now
-        # Time-parameterized variant: the batched beacon kernel evaluates
-        # loss at each fire's logical time, not the flush time.
+        # The MAC reads it at ``sim.now`` per frame and the beacon kernel
+        # at each fire's logical time, not the flush time.
         self.network.mac.loss_overlay_at = self.extra_loss_at
-        self.network._beacon_mac.loss_overlay_at = self.extra_loss_at
 
-    def extra_loss_now(self) -> float:
-        """Extra channel loss in effect at the current simulated time.
+    def extra_loss_at(self, t: float) -> float:
+        """Extra channel loss in effect at simulated time ``t``.
 
         Overlapping windows compose as independent erasures.
         """
-        return self.extra_loss_at(self.sim.now)
-
-    def extra_loss_at(self, t: float) -> float:
-        """Extra channel loss in effect at simulated time ``t``."""
         survive = 1.0
         for start, end, extra in self._loss_windows:
             if start <= t < end:

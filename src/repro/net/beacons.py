@@ -14,13 +14,14 @@ bulk.
 Equivalence contract (proven executable in
 ``tests/test_beacon_equivalence.py`` against the per-event reference
 model in ``tests/beacon_reference.py``): at every interval boundary the
-kernel produces *identical* neighbor tables, beacon counts and
-beacon-energy ledger totals to one event per fire and per delivered
-frame, for any mix of mobile/static, dead and muted nodes.  The one
-sanctioned divergence is intra-interval event interleaving (and hence
-golden digests), which is why ``flush()`` is a pure function of (state,
-time): any observer that reads mid-interval state first forces a flush,
-and the flush result does not depend on what triggered it.
+kernel produces *identical* neighbor tables, beacon counts and beacon
+parts of the energy ledger to one event per fire and per delivered
+frame, for any mix of mobile/static, dead and muted nodes, with or
+without batteries.  The one sanctioned divergence is intra-interval
+event interleaving (and hence golden digests), which is why ``flush()``
+is a pure function of (state, time): any observer that reads
+mid-interval state first forces a flush, and the flush result does not
+depend on what triggered it.
 
 Scaling note: up to ``_DENSE_MAX`` nodes the neighbor store is a dense
 (N, N) float64 block and receiver sets come from full pairwise-distance
@@ -265,7 +266,6 @@ class BatchedBeaconEngine:
         # across a fresh death (receivers are still alive-filtered per
         # fire).
         self._snap_full = bool(self.snap_alive.all())
-        self._snap_dirty = False
         # A sparse store (above _DENSE_MAX nodes when the table was
         # built) also switches receiver resolution to cell buckets.
         self._large = isinstance(self.store, SparseNeighborStore)
@@ -291,13 +291,13 @@ class BatchedBeaconEngine:
         # for delivery-time alive checks.
         self._transitions: List[tuple] = []
         self.last_flush = -math.inf
-        # Ledger accounts must be *created* in chronological charge order
-        # so EnergyLedger.total_j() sums in the order per-fire charging
-        # would (float addition is order-sensitive).
+        # Beacon-part accounts must be *created* in chronological charge
+        # order so EnergyLedger.total_j() sums in the order per-fire
+        # charging would (float addition is order-sensitive).
         self._acct_touched = np.zeros(n, dtype=bool)
-        # Account objects are created once and never replaced, so cache
-        # them by row to skip the per-charge dict lookup.
-        self._accts: List[Optional[object]] = [None] * n
+        # Account objects are created once and never replaced, so the
+        # kernel keeps each touched row's beacon part for materializing.
+        self._accts: List[Optional[EnergyAccount]] = [None] * n
         # Deferred beacon charge counts (fast path): _bulk_energy banks
         # per-row tx/rx *counts* here instead of writing every account
         # each epoch; the ledger's lazy_source gateway materializes a
@@ -305,7 +305,10 @@ class BatchedBeaconEngine:
         self._def_tx = np.zeros(n, dtype=np.int64)
         self._def_rx = np.zeros(n, dtype=np.int64)
         self._def_costs: Optional[Tuple[float, float]] = None
-        network.beacon_ledger.lazy_source = self._energy_probe
+        network.ledger.lazy_source = self._energy_probe
+        # Per-receiver beacon loss draws: their own stream, so beacons
+        # never shift the MAC's frame draws.
+        self._loss_rng = self.sim.rng.stream("mac.beacon")
         self._running = False
         self._flushing = False
         self._virtual_now = 0.0
@@ -385,7 +388,6 @@ class BatchedBeaconEngine:
             t = self.sim.now
         else:
             t = self._virtual_now
-            self._snap_dirty = True
         self._transitions.append((t, i, new_alive))
         self.alive_mask[i] = new_alive
 
@@ -486,7 +488,6 @@ class BatchedBeaconEngine:
         self.snap_alive = self.alive_mask.copy()
         self._snap_full = bool(self.snap_alive.all())
         self.snap_t = t
-        self._snap_dirty = False
         if self._large:
             self._snap_cells = CellBuckets(self.snap_x, self.snap_y,
                                            self._cell_r)
@@ -526,11 +527,11 @@ class BatchedBeaconEngine:
         # bank rows (kinematics_at handles per-element staleness).
         spx, spy, ssp, svx, svy = self.bank.kinematics_at(idx, tf)
 
-        mac = net._beacon_mac
-        ledger = net.beacon_ledger
-        slow_energy = ledger.observed or ledger.capacity_j is not None
-        has_overlay = (mac.loss_overlay_at is not None
-                       or mac.loss_overlay is not None)
+        mac = net.mac
+        ledger = net.ledger
+        slow_energy = (ledger.observed("beacon_charge")
+                       or ledger.capacity_j is not None)
+        has_overlay = mac.loss_overlay_at is not None
         base_loss = net.radio.base_loss_rate
         shadowing = net.radio.shadowing_sigma != 0.0
         r_sq = net.radio.range_m ** 2
@@ -558,7 +559,7 @@ class BatchedBeaconEngine:
             n_batches = self._process_whole_flush(
                 tf, tf_list, idx, (spx, spy, ssp, svx, svy), tx_counts,
                 rx_counts)
-            self._bulk_energy(ledger, net, tx_counts, rx_counts)
+            self._bulk_energy(net, tx_counts, rx_counts)
             return n_batches
 
         # The sequential loop: per-fire RNG draws and eager charges
@@ -571,15 +572,14 @@ class BatchedBeaconEngine:
             # The _sync_grid rule: refresh when stale by epsilon, or when
             # the snapshot is missing a node (it drops dead nodes, so the
             # length check fails and it re-syncs every fire until
-            # everyone is back), or when liveness changed mid-flush.  A
-            # full-but-stale snapshot keeps serving within epsilon even
-            # if a node died since.
-            if (t_k - self.snap_t >= eps or not self._snap_full
-                    or self._snap_dirty):
+            # everyone is back).  A full-but-stale snapshot keeps
+            # serving within epsilon even if a node died since, in this
+            # flush or before it.
+            if t_k - self.snap_t >= eps or not self._snap_full:
                 self._refresh_snapshot(t_k)
             # Group consecutive fires sharing this snapshot.
             g_end = k + 1
-            if self._snap_full and not self._snap_dirty:
+            if self._snap_full:
                 while (g_end < n_live
                        and tf_list[g_end] - self.snap_t < eps):
                     g_end += 1
@@ -605,7 +605,6 @@ class BatchedBeaconEngine:
                 # Sparse store only: dense fast flushes never get here.
                 row_counts = np.bincount(prows, minlength=B)
                 net.stats.beacons_sent += B
-                mac.count_lightweight_frames(B, net.BEACON_BYTES)
                 np.add.at(tx_counts, g_idx, 1)
                 rx_counts += np.bincount(pcols, minlength=len(self.ids))
                 n_batches += int((row_counts > 0).sum())
@@ -619,7 +618,6 @@ class BatchedBeaconEngine:
                 self._virtual_now = tf_list[g_end - 1]
                 k = g_end
                 continue
-            resume_at = g_end
             for g in range(k, g_end):
                 t_f = tf_list[g]
                 s_i = idx_list[g]
@@ -633,6 +631,10 @@ class BatchedBeaconEngine:
                     r_idx = np.nonzero(in_range[g - k])[0]
                 else:
                     r_idx = pcols[row_starts[g - k]:row_starts[g - k + 1]]
+                if slow_energy:
+                    # A battery may have killed receivers earlier in this
+                    # group.
+                    r_idx = r_idx[self.alive_mask[r_idx]]
                 if shadowing and r_idx.size:
                     sid = int(self.ids[s_i])
                     spos = Vec2(float(spx[g]), float(spy[g]))
@@ -645,45 +647,43 @@ class BatchedBeaconEngine:
                             keep.append(ri)
                     r_idx = np.array(keep, dtype=np.int64)
                 net.stats.beacons_sent += 1
-                mac.count_lightweight_frame(net.BEACON_BYTES)
                 if slow_energy:
                     # A battery may kill the sender mid-charge; its
                     # frame still goes out (charge first, then send).
                     ledger.charge_tx(int(self.ids[s_i]), self.bits,
-                                     net.radio.range_m)
+                                     net.radio.range_m, "beacon_charge")
                 else:
                     tx_counts[s_i] += 1
                     if not self._acct_touched[s_i]:
-                        ledger.account(int(self.ids[s_i]))
-                        self._acct_touched[s_i] = True
+                        self._touch_account(s_i)
                 loss = mac.loss_rate_at(t_f) if has_overlay else base_loss
-                surv_mask = mac.lightweight_survivors(int(r_idx.size), loss)
-                survivors = r_idx if surv_mask is None else r_idx[surv_mask]
+                # A lossless channel draws nothing; one random(n) call
+                # consumes the stream exactly as n scalar draws would.
+                if loss > 0.0 and r_idx.size:
+                    survivors = r_idx[self._loss_rng.random(r_idx.size)
+                                      >= loss]
+                else:
+                    survivors = r_idx
                 # rx is charged at FIRE time for all survivors, even
                 # ones that die before delivery.
                 if slow_energy:
                     for ri in survivors.tolist():
-                        ledger.charge_rx(int(self.ids[ri]), self.bits)
+                        ledger.charge_rx(int(self.ids[ri]), self.bits,
+                                         "beacon_charge")
                 else:
                     np.add.at(rx_counts, survivors, 1)
                     fresh = survivors[~self._acct_touched[survivors]]
                     for ri in fresh.tolist():
-                        ledger.account(int(self.ids[ri]))
-                    self._acct_touched[survivors] = True
+                        self._touch_account(ri)
                 if survivors.size:
                     self.pending.append(
                         (t_f + self.delay, s_i, survivors,
                          float(spx[g]), float(spy[g]), float(ssp[g]),
                          float(svx[g]), float(svy[g])))
                     n_batches += 1
-                if self._snap_dirty and g + 1 < g_end:
-                    # Liveness changed inside the group (battery death):
-                    # re-group the remainder against a fresh snapshot.
-                    resume_at = g + 1
-                    break
-            k = resume_at
+            k = g_end
         if not slow_energy:
-            self._bulk_energy(ledger, net, tx_counts, rx_counts)
+            self._bulk_energy(net, tx_counts, rx_counts)
         return n_batches
 
     def _process_whole_flush(self, tf: np.ndarray, tf_list: List[float],
@@ -696,11 +696,11 @@ class BatchedBeaconEngine:
         Liveness cannot flip mid-flush, so the snapshot groups the
         sequential loop would form are a pure function of the fire
         times: walk them up front with its rule (refresh when stale by
-        epsilon, when the snapshot is not full, or when liveness changed
-        since it was taken; after a refresh, full means everyone is
-        alive).  Every group's snapshot comes from one multi-time bank
-        call, every fire's receivers from one (n_fires, N) range matrix,
-        and the flush leaves one group record in ``pending``.  Only a
+        epsilon or when the snapshot is not full; after a refresh, full
+        means everyone is alive).  Every group's snapshot comes from one
+        multi-time bank call, every fire's receivers from one
+        (n_fires, N) range matrix, and the flush leaves one group record
+        in ``pending``.  Only a
         full snapshot is ever reused, so fires it serves need no mask
         beyond the current ``alive_mask`` — the same one a refreshed
         snapshot holds.
@@ -712,7 +712,7 @@ class BatchedBeaconEngine:
         group_t: List[float] = []      # refresh time per new group
         g_of: List[int] = []           # per-fire snapshot row (0 = old)
         st = self.snap_t
-        full = self._snap_full and not self._snap_dirty
+        full = self._snap_full
         for t_f in tf_list:
             if t_f - st >= eps or not full:
                 group_t.append(t_f)
@@ -728,7 +728,6 @@ class BatchedBeaconEngine:
             self.snap_alive = self.alive_mask.copy()
             self._snap_full = all_alive
             self.snap_t = group_t[-1]
-            self._snap_dirty = False
         else:
             sxs = self.snap_x[None, :]
             sys_ = self.snap_y[None, :]
@@ -749,7 +748,6 @@ class BatchedBeaconEngine:
         prows, pcols = np.nonzero(in_range)
         n = len(self.ids)
         net.stats.beacons_sent += n_live
-        net._beacon_mac.count_lightweight_frames(n_live, net.BEACON_BYTES)
         tx_counts += np.bincount(idx, minlength=n)
         rx_counts += np.bincount(pcols, minlength=n)
         if prows.size:
@@ -759,7 +757,7 @@ class BatchedBeaconEngine:
         self._virtual_now = tf_list[-1]
         return int(np.count_nonzero(in_range.any(axis=1)))
 
-    def _bulk_energy(self, ledger, net, tx_counts: np.ndarray,
+    def _bulk_energy(self, net, tx_counts: np.ndarray,
                      rx_counts: np.ndarray) -> None:
         """Bank counted beacon tx/rx charges for deferred materialization.
 
@@ -769,18 +767,20 @@ class BatchedBeaconEngine:
         Two vector adds bank the counts; :meth:`_energy_probe` (wired as
         the ledger's ``lazy_source``) converts a row's banked count into
         the exact repeated-add the eager path would have produced, at the
-        first account touch.  Only the O(1) running total advances here.
+        first account touch.
         """
-        model = ledger.model
-        tx_cost = model.tx_cost(self.bits, net.radio.range_m)
-        rx_cost = model.rx_cost(self.bits)
-        self._def_costs = (tx_cost, rx_cost)
+        model = net.energy_model
+        self._def_costs = (model.tx_cost(self.bits, net.radio.range_m),
+                           model.rx_cost(self.bits))
         self._def_tx += tx_counts
         self._def_rx += rx_counts
-        # These charges bypass charge_tx/charge_rx, so advance the
-        # ledger's O(1) running total to match.
-        ledger.note_external_charges(tx_cost, int(tx_counts.sum()))
-        ledger.note_external_charges(rx_cost, int(rx_counts.sum()))
+
+    def _touch_account(self, i: int) -> None:
+        """Create row ``i``'s beacon-part account now, in charge order,
+        and keep it for :meth:`_materialize_row`."""
+        self._accts[i] = self.net.ledger.account(int(self.ids[i]),
+                                                 "beacon_charge")
+        self._acct_touched[i] = True
 
     def _energy_probe(self, node_id: Optional[int]) -> None:
         """Ledger ``lazy_source`` gateway: materialize banked beacon
@@ -804,18 +804,8 @@ class BatchedBeaconEngine:
             return
         self._def_tx[i] = 0
         self._def_rx[i] = 0
+        # Only touched rows bank counts, so their account is kept.
         acct = self._accts[i]
-        if acct is None:
-            # The account exists (fast-gate invariant); fetch it without
-            # going through ledger.account(), which would re-enter this
-            # probe.
-            led = self.net.beacon_ledger
-            nid = int(self.ids[i])
-            acct = led._accounts.get(nid)
-            if acct is None:  # pragma: no cover - defensive
-                acct = EnergyAccount()
-                led._accounts[nid] = acct
-            self._accts[i] = acct
         tx_cost, rx_cost = self._def_costs
         if ct:
             acct.tx_j = repeated_add(acct.tx_j, tx_cost, ct)

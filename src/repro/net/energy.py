@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence
 
 from ..sim.probe import Probe
 
@@ -129,166 +130,199 @@ class EnergyAccount:
 class EnergyLedger:
     """Network-wide energy bookkeeping with checkpoint support.
 
-    Experiments measure "energy consumed by this query" by snapshotting the
-    ledger before issuing the query and diffing afterwards.
+    Every charge is booked under a probe channel: ``"charge"`` for
+    protocol traffic (the default) and ``"beacon_charge"`` for beacon
+    traffic.  Each node's account keeps one part per channel.
+    Experiments measure "energy consumed by this query" from the protocol
+    part, by snapshotting the ledger before issuing the query and diffing
+    afterwards.
 
-    Optionally enforces a per-node battery: when an account's total
-    crosses ``capacity_j`` the ``on_depleted`` callback fires exactly once
-    for that node (the network uses this to kill the node).
+    Optionally enforces one battery per node: when a node's total over
+    both parts crosses ``capacity_j`` the ``on_depleted`` callback fires
+    exactly once for that node (the network uses this to kill the node).
+    While armed, an optional ``settle`` callback runs before every
+    protocol charge, so a producer that books the beacon part lazily can
+    bring it up to the current time first: every protocol charge is then
+    checked against all beacon energy spent before it, and every beacon
+    charge against the protocol energy spent before it.
     """
 
     def __init__(self, model: EnergyModel,
                  capacity_j: "float | None" = None,
                  on_depleted: "object | None" = None):
         self.model = model
-        self._accounts: Dict[int, EnergyAccount] = {}
+        # channel -> node -> that node's part of its account; each dict
+        # keeps its own creation order, which total_j() sums in
+        self._parts: Dict[str, Dict[int, EnergyAccount]] = {
+            "charge": {}, "beacon_charge": {}}
         self.capacity_j = capacity_j
         self.on_depleted = on_depleted
+        self.settle = None
         self._depleted: set = set()
         #: every charge is emitted as ``fn(node_id, kind, cost)`` (kind is
-        #: "tx" | "rx" | "idle") on this probe channel; a network rebinds
-        #: its two ledgers to its simulator's probe (:meth:`emit_on`)
+        #: "tx" | "rx" | "idle") on the probe channel it is booked under;
+        #: a network rebinds its ledger to its simulator's probe
+        #: (:meth:`emit_on`)
         self.probe = Probe()
-        self.channel = "charge"
-        # Running network-wide total, advanced once per charge, so
+        # Running protocol total, advanced once per protocol charge, so
         # snapshot()/since() are O(1) — the service layer checkpoints the
         # ledger around every query.  Deterministic (charges apply in a
         # fixed order per seed) but summed in chronological rather than
         # account order, so it may differ from total_j() in the last few
         # ulps; total_j() remains the exact account-order sum.
         self._running_j = 0.0
-        #: optional deferred-charge source, called as ``fn(node_id)``
-        #: before any account access (``fn(None)`` = all accounts).  The
-        #: batched beacon kernel banks per-node charge *counts* and
-        #: materializes them here on first touch, so per-epoch account
-        #: writes are amortized away.  Because every account mutation and
-        #: read funnels through :meth:`account`, materializing at this
+        #: optional deferred-charge source of the beacon part, called as
+        #: ``fn(node_id)`` before any beacon-part access (``fn(None)`` =
+        #: all nodes).  The batched beacon kernel banks per-node charge
+        #: *counts* and materializes them here on first touch, so
+        #: per-epoch account writes are amortized away.  Because every
+        #: beacon-part mutation and read funnels through :meth:`account`,
+        #: :meth:`accounts` or :meth:`node_total_j`, materializing at this
         #: gateway reproduces the eager per-epoch field order exactly.
         self.lazy_source = None
 
-    def emit_on(self, probe: Probe, channel: str) -> None:
-        """Emit this ledger's charges on ``probe``'s ``channel``."""
+    def emit_on(self, probe: Probe) -> None:
+        """Emit this ledger's charges on ``probe``."""
         self.probe = probe
-        self.channel = channel
 
-    @property
-    def observed(self) -> bool:
-        """True while the ledger's probe channel has subscribers."""
-        return bool(getattr(self.probe, self.channel))
+    def observed(self, channel: str = "charge") -> bool:
+        """True while ``channel`` has subscribers on the ledger's probe."""
+        return bool(getattr(self.probe, channel))
 
-    def set_battery(self, capacity_j: float, on_depleted) -> None:
-        """Arm per-node battery enforcement."""
+    def set_battery(self, capacity_j: float, on_depleted,
+                    settle=None) -> None:
+        """Arm per-node battery enforcement; ``settle()`` (optional) runs
+        before every protocol charge from then on."""
         if capacity_j <= 0:
             raise ValueError("battery capacity must be positive")
         self.capacity_j = capacity_j
         self.on_depleted = on_depleted
+        self.settle = settle
 
-    def account(self, node_id: int) -> EnergyAccount:
-        src = self.lazy_source
-        if src is not None:
-            src(node_id)
-        acct = self._accounts.get(node_id)
+    def account(self, node_id: int,
+                channel: str = "charge") -> EnergyAccount:
+        """``node_id``'s part of the ledger for ``channel``, created on
+        first touch."""
+        if channel != "charge":
+            self._materialize(node_id)
+        accounts = self._parts[channel]
+        acct = accounts.get(node_id)
         if acct is None:
             acct = EnergyAccount()
-            self._accounts[node_id] = acct
+            accounts[node_id] = acct
         return acct
 
-    def sync(self) -> None:
-        """Materialize every pending deferred charge (no-op without a
-        ``lazy_source``).  Required before iterating ``_accounts``
-        directly instead of going through :meth:`account`."""
-        src = self.lazy_source
-        if src is not None:
-            src(None)
+    def accounts(self, channel: str = "charge"
+                 ) -> Mapping[int, EnergyAccount]:
+        """Read-only view of every node's ``channel`` part, in account
+        creation order, with every deferred charge materialized."""
+        if channel != "charge":
+            self._materialize(None)
+        return MappingProxyType(self._parts[channel])
+
+    def node_total_j(self, node_id: int) -> float:
+        """Energy ``node_id`` has used over both parts (its battery
+        draw); creates no account."""
+        self._materialize(node_id)
+        total = 0.0
+        for accounts in self._parts.values():
+            acct = accounts.get(node_id)
+            if acct is not None:
+                total += acct.total_j
+        return total
+
+    def _materialize(self, node_id: "int | None") -> None:
+        """Apply the deferred beacon charges of ``node_id`` (None: of
+        every node)."""
+        if self.lazy_source is not None:
+            self.lazy_source(node_id)
 
     def remaining_j(self, node_id: int) -> float:
         """Battery charge left (inf without battery enforcement)."""
         if self.capacity_j is None:
             return float("inf")
-        return max(0.0, self.capacity_j - self.account(node_id).total_j)
+        return max(0.0, self.capacity_j - self.node_total_j(node_id))
 
     def is_depleted(self, node_id: int) -> bool:
         return node_id in self._depleted
 
-    def _check_battery(self, node_id: int) -> None:
-        if self.capacity_j is None or node_id in self._depleted:
-            return
-        if self.account(node_id).total_j >= self.capacity_j:
+    def _booked(self, node_id: int, channel: str, kind: str,
+                cost: float) -> None:
+        """Everything one charge does after its account add: the running
+        total (protocol only), the emission and the battery check."""
+        if channel == "charge":
+            self._running_j += cost
+        for fn in getattr(self.probe, channel):
+            fn(node_id, kind, cost)
+        if self.capacity_j is not None and node_id not in self._depleted \
+                and self.node_total_j(node_id) >= self.capacity_j:
             self._depleted.add(node_id)
             if self.on_depleted is not None:
                 self.on_depleted(node_id)
 
-    def charge_tx(self, node_id: int, bits: int, distance_m: float) -> float:
+    def charge_tx(self, node_id: int, bits: int, distance_m: float,
+                  channel: str = "charge") -> float:
+        if self.settle is not None and channel == "charge":
+            self.settle()
         cost = self.model.tx_cost(bits, distance_m)
-        self.account(node_id).tx_j += cost
-        self._running_j += cost
-        subs = getattr(self.probe, self.channel)
-        if subs:
-            for fn in subs:
-                fn(node_id, "tx", cost)
-        self._check_battery(node_id)
+        self.account(node_id, channel).tx_j += cost
+        self._booked(node_id, channel, "tx", cost)
         return cost
 
-    def charge_rx(self, node_id: int, bits: int) -> float:
+    def charge_rx(self, node_id: int, bits: int,
+                  channel: str = "charge") -> float:
+        if self.settle is not None and channel == "charge":
+            self.settle()
         cost = self.model.rx_cost(bits)
-        self.account(node_id).rx_j += cost
-        self._running_j += cost
-        subs = getattr(self.probe, self.channel)
-        if subs:
-            for fn in subs:
-                fn(node_id, "rx", cost)
-        self._check_battery(node_id)
+        self.account(node_id, channel).rx_j += cost
+        self._booked(node_id, channel, "rx", cost)
         return cost
 
     def charge_rx_many(self, node_ids: Sequence[int],
                        bits: Sequence[int]) -> None:
-        """Charge one reception per ``(node_ids[i], bits[i])``, in order.
+        """Charge one protocol reception per ``(node_ids[i], bits[i])``,
+        in order.
 
         Bitwise-equal to that sequence of :meth:`charge_rx` calls (one
         MAC frame's receivers): each account gets the same adds and the
-        running total the same chronological sum.  While the probe
-        channel has subscribers, a battery is armed or a deferred-charge
-        source is set, every charge goes through the account gateway, is
-        emitted and is checked for depletion before the next is applied,
+        running total the same chronological sum.  While the ``charge``
+        channel has subscribers or a battery is armed, every charge is
+        emitted and checked for depletion before the next is applied,
         exactly as the sequential calls do.
         """
         rx_cost = self.model.rx_cost
-        account = self.account
-        if self.observed or self.capacity_j is not None \
-                or self.lazy_source is not None:
+        if self.observed() or self.capacity_j is not None:
+            settle = self.settle
             for node_id, b in zip(node_ids, bits):
+                if settle is not None:
+                    settle()
                 cost = rx_cost(b)
-                account(node_id).rx_j += cost
-                self._running_j += cost
-                for fn in getattr(self.probe, self.channel):
-                    fn(node_id, "rx", cost)
-                self._check_battery(node_id)
+                self.account(node_id).rx_j += cost
+                self._booked(node_id, "charge", "rx", cost)
             return
-        # Unobserved, unarmed and nothing deferred: straight to the
-        # account dict.
-        accounts = self._accounts
+        # Unobserved and unarmed: straight to the account dict.
+        accounts = self._parts["charge"]
         running = self._running_j
         for node_id, b in zip(node_ids, bits):
             cost = rx_cost(b)
             acct = accounts.get(node_id)
             if acct is None:
-                acct = account(node_id)
+                acct = self.account(node_id)
             acct.rx_j += cost
             running += cost
         self._running_j = running
 
     def charge_tx_repeated(self, node_id: int, bits: int, distance_m: float,
                            count: int) -> float:
-        """Charge ``count`` identical transmissions in one call.
+        """Charge ``count`` identical protocol transmissions in one call.
 
-        Fast path for the batched beacon kernel: the per-charge cost is a
-        constant, and the blocked closed form of :func:`repeated_add` is
-        bitwise-identical to ``count`` separate ``charge_tx`` calls on the
-        same account field.  Refuses to run when the ledger's probe channel
-        has subscribers or a battery is armed — those need the
-        chronological per-charge path.
+        The per-charge cost is a constant, and the blocked closed form of
+        :func:`repeated_add` is bitwise-identical to ``count`` separate
+        ``charge_tx`` calls on the same account field.  Refuses to run
+        when the ``charge`` channel has subscribers or a battery is
+        armed — those need the chronological per-charge path.
         """
-        if self.observed or self.capacity_j is not None:
+        if self.observed() or self.capacity_j is not None:
             raise ValueError(
                 "bulk charging is only valid without observer/battery")
         cost = self.model.tx_cost(bits, distance_m)
@@ -301,7 +335,7 @@ class EnergyLedger:
                            count: int) -> float:
         """Charge ``count`` identical receptions in one call (see
         :meth:`charge_tx_repeated` for the equivalence argument)."""
-        if self.observed or self.capacity_j is not None:
+        if self.observed() or self.capacity_j is not None:
             raise ValueError(
                 "bulk charging is only valid without observer/battery")
         cost = self.model.rx_cost(bits)
@@ -310,35 +344,25 @@ class EnergyLedger:
         self._running_j = repeated_add(self._running_j, cost, count)
         return cost * count
 
-    def note_external_charges(self, cost: float, count: int) -> None:
-        """Advance the running total for ``count`` charges of ``cost``
-        applied *directly* to account fields (the batched beacon kernel
-        materializes its counted charges that way).  Keeps
-        :meth:`snapshot` consistent with the accounts."""
-        self._running_j = repeated_add(self._running_j, cost, count)
-
     def charge_idle(self, node_id: int, seconds: float) -> float:
+        if self.settle is not None:
+            self.settle()
         cost = self.model.idle_cost(seconds)
         self.account(node_id).idle_j += cost
-        self._running_j += cost
-        subs = getattr(self.probe, self.channel)
-        if subs:
-            for fn in subs:
-                fn(node_id, "idle", cost)
-        self._check_battery(node_id)
+        self._booked(node_id, "charge", "idle", cost)
         return cost
 
-    def total_j(self) -> float:
-        """Energy consumed by the whole network so far (exact sum over
-        accounts; O(nodes) — prefer :meth:`snapshot` for checkpoints)."""
-        self.sync()
-        return sum(acct.total_j for acct in self._accounts.values())
+    def total_j(self, channel: str = "charge") -> float:
+        """Energy ``channel`` traffic has used network-wide so far (exact
+        sum over accounts; O(nodes) — prefer :meth:`snapshot` for
+        checkpoints)."""
+        return sum(acct.total_j for acct in self.accounts(channel).values())
 
     def snapshot(self) -> float:
-        """Checkpoint value; pass to :meth:`since` for a delta.  O(1):
-        reads the running total maintained per charge."""
+        """Protocol checkpoint value; pass to :meth:`since` for a delta.
+        O(1): reads the running total maintained per protocol charge."""
         return self._running_j
 
     def since(self, checkpoint: float) -> float:
-        """Energy consumed since ``checkpoint`` was taken."""
+        """Protocol energy consumed since ``checkpoint`` was taken."""
         return self._running_j - checkpoint

@@ -81,23 +81,17 @@ class MacLayer:
     """
 
     def __init__(self, sim: Simulator, radio: RadioModel,
-                 ledger: EnergyLedger, config: Optional[MacConfig] = None,
-                 rng_stream: str = "mac"):
+                 ledger: EnergyLedger, config: Optional[MacConfig] = None):
         self.sim = sim
         self.radio = radio
         self.ledger = ledger
         self.config = config or MacConfig()
         self.stats = MacStats()
-        self._rng = sim.rng.stream(rng_stream)
-        #: optional time-windowed extra loss (fault injection): a callable
-        #: returning the extra erasure probability in effect right now,
-        #: composed with the radio's base loss as independent erasure.
-        self.loss_overlay: Optional[Callable[[], float]] = None
-        #: time-parameterized variant, ``fn(t) -> extra loss at t``.  The
-        #: beacon kernel evaluates loss at each fire's logical time,
-        #: which may differ from ``sim.now`` at flush time.  When only
-        #: ``loss_overlay`` is set, the kernel falls back to it
-        #: (evaluated at flush time — documented divergence).
+        self._rng = sim.rng.stream("mac")
+        #: optional time-windowed extra loss (fault injection), ``fn(t) ->
+        #: extra erasure probability at t``, composed with the radio's
+        #: base loss as independent erasure.  The beacon kernel reads it
+        #: at each fire's logical time, frames at ``sim.now``.
         self.loss_overlay_at: Optional[Callable[[float], float]] = None
         # Backoff/queueing samples go out on the probe's ``mac_sample``
         # channel, trouble frames (losses, exhausted ARQ) on ``mac_frame``.
@@ -115,56 +109,18 @@ class MacLayer:
     # -- channel state -------------------------------------------------------
 
     def loss_rate(self) -> float:
-        """Effective channel loss right now: base rate plus any fault
-        overlay, composed as independent erasures."""
-        loss = self.radio.base_loss_rate
-        if self.loss_overlay is not None:
-            extra = self.loss_overlay()
-            if extra > 0.0:
-                loss = 1.0 - (1.0 - loss) * (1.0 - extra)
-        return loss
+        """Effective channel loss right now."""
+        return self.loss_rate_at(self.sim.now)
 
     def loss_rate_at(self, t: float) -> float:
-        """Effective channel loss at logical time ``t`` (beacon
-        kernel).  Prefers the time-parameterized overlay; falls back to the
-        time-blind one, then to the base rate."""
+        """Effective channel loss at logical time ``t``: base rate plus
+        any fault overlay, composed as independent erasures."""
         loss = self.radio.base_loss_rate
         if self.loss_overlay_at is not None:
             extra = self.loss_overlay_at(t)
-        elif self.loss_overlay is not None:
-            extra = self.loss_overlay()
-        else:
-            return loss
-        if extra > 0.0:
-            loss = 1.0 - (1.0 - loss) * (1.0 - extra)
+            if extra > 0.0:
+                loss = 1.0 - (1.0 - loss) * (1.0 - extra)
         return loss
-
-    def lightweight_survivors(self, n: int, loss: float):
-        """Per-receiver loss draws for one lightweight (beacon) frame.
-
-        Returns a boolean survival mask of length ``n``, or None when no
-        draws are needed (``loss <= 0`` or no receivers): a lossless
-        channel consumes no RNG.  A numpy ``Generator.random(n)`` call
-        consumes the bit stream identically to ``n`` scalar ``random()``
-        calls, so one frame's draws are the same whether they are made
-        at once or receiver by receiver.
-        """
-        if loss <= 0.0 or n == 0:
-            return None
-        return self._rng.random(n) >= loss
-
-    def count_lightweight_frame(self, size_bytes: int) -> None:
-        """Record the stats of one lightweight frame sent outside
-        :meth:`transmit` (the beacon kernel does its own energy
-        accounting and delivery scheduling)."""
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += size_bytes
-
-    def count_lightweight_frames(self, n: int, size_bytes: int) -> None:
-        """Bulk form of :meth:`count_lightweight_frame`: ``n`` frames of
-        the same size (integer counters, so order cannot matter)."""
-        self.stats.frames_sent += n
-        self.stats.bytes_sent += n * size_bytes
 
     def _prune_active(self) -> None:
         self._active.prune(self.sim.now)

@@ -67,13 +67,10 @@ class Network:
         self.sim = sim
         self.radio = radio or RadioModel()
         self.energy_model = energy or EnergyModel()
-        self.ledger = EnergyLedger(self.energy_model)          # protocol traffic
-        self.beacon_ledger = EnergyLedger(self.energy_model)   # beacon traffic
-        self.ledger.emit_on(sim.probe, "charge")
-        self.beacon_ledger.emit_on(sim.probe, "beacon_charge")
+        # One ledger: protocol and beacon traffic are its two parts.
+        self.ledger = EnergyLedger(self.energy_model)
+        self.ledger.emit_on(sim.probe)
         self.mac = MacLayer(sim, self.radio, self.ledger, mac_config)
-        self._beacon_mac = MacLayer(sim, self.radio, self.beacon_ledger,
-                                    mac_config, rng_stream="mac.beacon")
         self.beacon_interval = beacon_interval
         self.neighbor_timeout = (neighbor_timeout
                                  if neighbor_timeout is not None
@@ -332,6 +329,10 @@ class Network:
     def send(self, sender: SensorNode, message: Message,
              on_fail: Optional[Callable[[Message], None]] = None) -> None:
         """Transmit ``message`` from ``sender`` over the MAC."""
+        if self.ledger.capacity_j is not None:
+            # Beacons may have emptied the sender's battery since the
+            # last flush.
+            self.flush_beacons()
         if not sender.alive:
             return
         if message.created_at is None:
@@ -350,6 +351,8 @@ class Network:
                           deliver=self._deliver, on_unicast_fail=on_fail)
 
     def _deliver(self, receiver_id: int, message: Message) -> None:
+        if self.ledger.capacity_j is not None:
+            self.flush_beacons()
         node = self.nodes.get(receiver_id)
         if node is None or not node.alive:
             return
@@ -370,24 +373,24 @@ class Network:
             node.on(kind, handler)
 
     def enable_batteries(self, capacity_j: float) -> None:
-        """Arm per-node batteries: a node whose protocol-plus-beacon
-        energy use reaches ``capacity_j`` dies (``alive = False``) and
-        stops participating.  Useful for lifetime / failure studies."""
+        """Arm per-node batteries: a node whose energy use over the
+        ledger's protocol and beacon parts reaches ``capacity_j`` dies
+        (``alive = False``) and stops participating.  Useful for
+        lifetime / failure studies.
 
-        def _totals(node_id: int) -> float:
-            return (self.ledger.account(node_id).total_j
-                    + self.beacon_ledger.account(node_id).total_j)
+        Beacons are charged lazily, at flush time, so every protocol
+        charge, send and delivery first flushes them up to ``sim.now``:
+        each charge, of either part, is then checked against everything
+        the node spent before it, and no node that beacons have already
+        drained sends or handles a frame, whenever else the tables
+        happen to be read."""
 
         def _kill(node_id: int) -> None:
             node = self.nodes.get(node_id)
-            if node is not None and node.alive and \
-                    _totals(node_id) >= capacity_j:
+            if node is not None and node.alive:
                 node.alive = False
 
-        # Both ledgers watch the shared budget; each check re-verifies the
-        # combined total so whichever ledger crosses the line kills once.
-        self.ledger.set_battery(capacity_j, _kill)
-        self.beacon_ledger.set_battery(capacity_j, _kill)
+        self.ledger.set_battery(capacity_j, _kill, settle=self.flush_beacons)
 
     def alive_count(self) -> int:
         """Number of nodes still alive."""

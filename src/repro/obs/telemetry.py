@@ -163,7 +163,7 @@ class Telemetry(ProtocolObserver):
             "net.beacons_sent": self._network.stats.beacons_sent,
             "energy.total_j": self._network.ledger.total_j(),
             "energy.beacon_total_j":
-                self._network.beacon_ledger.total_j(),
+                self._network.ledger.total_j("beacon_charge"),
         }
         for name, value in gauges.items():
             self.metrics.gauge(name).set(float(value))
@@ -293,7 +293,7 @@ class Telemetry(ProtocolObserver):
         self.metrics.counter("diknn.query.issued").inc()
         self._issued_at[qid] = at
         self._qpoint[qid] = (query.point.x, query.point.y)
-        self._energy0[qid] = self._network.ledger.total_j()
+        self._energy0[qid] = self._network.ledger.snapshot()
         self._root[qid] = self.spans.begin(
             f"query q{qid}", "query", at=at, node=sink_id, query_id=qid,
             k=query.k)
@@ -486,7 +486,7 @@ class Telemetry(ProtocolObserver):
             # Approximate under overlapping queries (ledger deltas are
             # network-wide), exactly like the runner's per-query energy.
             self._observe_query(qid, "diknn.query.energy_j",
-                                self._network.ledger.total_j() - energy0)
+                                self._network.ledger.since(energy0))
         if self.sampler is not None:
             key = ("q", qid)
             if self.sampler.resolve(key) == key:

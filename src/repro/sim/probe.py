@@ -27,8 +27,9 @@ CHANNELS = (
     "trace",          # fn(event, message, node_id): "send" / "deliver"
     "beacon",         # fn(receiver_id, src_id, time) per delivered beacon
     "beacon_batch",   # fn(count) per beacon delivery batch
-    "charge",         # fn(node_id, kind, cost) per protocol-ledger charge
-    "beacon_charge",  # same, beacon ledger; moves the batched beacon
+    "charge",         # fn(node_id, kind, cost) per charge to the
+                      # ledger's protocol part
+    "beacon_charge",  # same, beacon part; moves the batched beacon
                       # kernel off its bulk energy path
     "route",          # objects with the route_* methods GPSR calls
     "protocol",       # ProtocolObserver-shaped objects

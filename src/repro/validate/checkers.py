@@ -25,7 +25,7 @@ time and invariant.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..core.diknn import DIKNNProtocol
 from ..geometry import TWO_PI, Vec2
@@ -92,7 +92,8 @@ class CausalityChecker(Checker):
 # ---------------------------------------------------------------------------
 
 class EnergyChecker(Checker):
-    """Ledger accounts equal the sum of charges actually made."""
+    """Both parts of every ledger account equal the sum of the charges
+    actually booked under their channel."""
 
     name = "energy-conservation"
 
@@ -101,33 +102,32 @@ class EnergyChecker(Checker):
     def __init__(self) -> None:
         super().__init__()
         self._sim = None
-        self._ledgers: List[Tuple[str, object]] = []
-        # ledger tag -> node -> {"tx": j, "rx": j, "idle": j}
+        # part tag -> node -> {"tx": j, "rx": j, "idle": j}
         self._shadow: Dict[str, Dict[int, Dict[str, float]]] = {}
         self._baseline: Dict[str, Dict[int, Tuple[float, float, float]]] = {}
-        # ledger tag -> the charge observer subscribed for it
+        # part tag -> the charge observer subscribed for it
         self._taps: Dict[str, object] = {}
+
+    #: (tag, probe channel) of each ledger part
+    _PARTS = (("protocol", "charge"), ("beacon", "beacon_charge"))
 
     def attach(self, ctx: ValidationContext) -> None:
         self._sim = ctx.sim
-        self._ledgers = [("protocol", ctx.network.ledger),
-                         ("beacon", ctx.network.beacon_ledger)]
-        for tag, ledger in self._ledgers:
-            # Materialize any deferred (banked) charges first: the
+        ledger = ctx.network.ledger
+        for tag, channel in self._PARTS:
+            # accounts() materializes any deferred (banked) charges: the
             # baseline must include everything already charged, or the
             # late materialization would read as an unobserved charge.
-            ledger.sync()
             self._shadow[tag] = {}
             self._baseline[tag] = {
                 nid: (acct.tx_j, acct.rx_j, acct.idle_j)
-                for nid, acct in ledger._accounts.items()}
+                for nid, acct in ledger.accounts(channel).items()}
             self._taps[tag] = self._make_observer(tag)
-            ledger.probe.subscribe(ledger.channel, self._taps[tag])
+            ctx.sim.probe.subscribe(channel, self._taps[tag])
 
     def detach(self, ctx: ValidationContext) -> None:
-        for tag, ledger in self._ledgers:
-            tap = self._taps.pop(tag, None)
-            ledger.probe.unsubscribe(ledger.channel, tap)
+        for tag, channel in self._PARTS:
+            ctx.sim.probe.unsubscribe(channel, self._taps.pop(tag, None))
 
     def _make_observer(self, tag: str):
         shadow = self._shadow[tag]
@@ -148,11 +148,11 @@ class EnergyChecker(Checker):
 
     def checkpoint(self, ctx: ValidationContext) -> None:
         now = ctx.sim.now
-        for tag, ledger in self._ledgers:
-            ledger.sync()
+        for tag, channel in self._PARTS:
             shadow = self._shadow[tag]
             baseline = self._baseline[tag]
-            for node_id, acct in ledger._accounts.items():
+            for node_id, acct in ctx.network.ledger.accounts(
+                    channel).items():
                 self.checks_run += 1
                 base = baseline.get(node_id, (0.0, 0.0, 0.0))
                 seen = shadow.get(node_id,
@@ -278,24 +278,19 @@ class MacSanityChecker(Checker):
                 f"{message.kind!r} frame traced as sent by {node_id} but "
                 f"stamped src={message.src}", node=node_id, time=now)
 
-    def _macs(self, ctx: ValidationContext):
-        return (("protocol", ctx.network.mac),
-                ("beacon", ctx.network._beacon_mac))
-
     def checkpoint(self, ctx: ValidationContext) -> None:
         now = ctx.sim.now
-        for tag, mac in self._macs(ctx):
-            for tx in mac._active:
-                self.checks_run += 1
-                if tx.end < tx.start:
-                    self.fail(
-                        f"{tag} MAC holds a transmission ending "
-                        f"({tx.end:.9f}) before it starts ({tx.start:.9f})",
-                        node=tx.sender, time=now)
-                if tx.start > now + _ABS_TOL:
-                    self.fail(
-                        f"{tag} MAC holds a transmission starting in the "
-                        f"future ({tx.start:.9f})", node=tx.sender, time=now)
+        for tx in ctx.network.mac._active:
+            self.checks_run += 1
+            if tx.end < tx.start:
+                self.fail(
+                    f"MAC holds a transmission ending ({tx.end:.9f}) "
+                    f"before it starts ({tx.start:.9f})",
+                    node=tx.sender, time=now)
+            if tx.start > now + _ABS_TOL:
+                self.fail(
+                    f"MAC holds a transmission starting in the future "
+                    f"({tx.start:.9f})", node=tx.sender, time=now)
 
     def finalize(self, ctx: ValidationContext) -> None:
         # Only meaningful once nothing is left to run: an in-flight frame
@@ -303,22 +298,22 @@ class MacSanityChecker(Checker):
         if ctx.sim.pending_events > 0:
             return
         now = ctx.sim.now
-        for tag, mac in self._macs(ctx):
-            self.checks_run += 1
-            leftovers = mac.in_flight(now)
-            if leftovers:
-                tx = leftovers[0]
-                self.fail(
-                    f"{tag} MAC airtime bookkeeping did not drain: "
-                    f"{len(leftovers)} transmission(s) still active, e.g. "
-                    f"sender {tx.sender} until {tx.end:.9f}",
-                    node=tx.sender, time=now)
-            busy = mac.busy_senders(now)
-            if busy:
-                self.fail(
-                    f"{tag} MAC sender queues did not drain: nodes {busy} "
-                    "still marked busy with no events pending",
-                    node=busy[0], time=now)
+        mac = ctx.network.mac
+        self.checks_run += 1
+        leftovers = mac.in_flight(now)
+        if leftovers:
+            tx = leftovers[0]
+            self.fail(
+                f"MAC airtime bookkeeping did not drain: "
+                f"{len(leftovers)} transmission(s) still active, e.g. "
+                f"sender {tx.sender} until {tx.end:.9f}",
+                node=tx.sender, time=now)
+        busy = mac.busy_senders(now)
+        if busy:
+            self.fail(
+                f"MAC sender queues did not drain: nodes {busy} "
+                "still marked busy with no events pending",
+                node=busy[0], time=now)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ per delivered frame — written for clarity, not speed:
   ``position_epsilon`` stale or is missing a node (dead nodes are left
   out of it), so protocol reads of the network's PHY index never move
   them;
-* the beacon ledger is charged per frame (tx) and per surviving
+* the ledger's beacon part is charged per frame (tx) and per surviving
   receiver (rx) at fire time;
-* channel loss is drawn through the beacon MAC's stream, and each frame
+* channel loss is drawn from the ``mac.beacon`` stream, and each frame
   with survivors schedules one delivery event, which writes the store
   cells of the receivers still alive at delivery time.
 
@@ -133,17 +133,19 @@ class ReferenceBeacons:
             report = (pos, mob.speed_at(now), mob.velocity_at(now))
             net.stats.beacons_sent += 1
             receivers = self._receivers(node.id, pos)
-            mac = net._beacon_mac
             radio = net.radio
             bits = (net.BEACON_BYTES + radio.header_bytes) * 8
-            net.beacon_ledger.charge_tx(node.id, bits, radio.range_m)
-            mac.count_lightweight_frame(net.BEACON_BYTES)
-            mask = mac.lightweight_survivors(len(receivers), mac.loss_rate())
-            survivors = (receivers if mask is None else
-                         [rid for rid, ok in zip(receivers, mask.tolist())
-                          if ok])
+            net.ledger.charge_tx(node.id, bits, radio.range_m,
+                                 "beacon_charge")
+            loss = net.mac.loss_rate()
+            survivors = receivers
+            if loss > 0.0 and receivers:
+                mask = self.sim.rng.stream("mac.beacon").random(
+                    len(receivers)) >= loss
+                survivors = [rid for rid, ok in zip(receivers, mask.tolist())
+                             if ok]
             for rid in survivors:
-                net.beacon_ledger.charge_rx(rid, bits)
+                net.ledger.charge_rx(rid, bits, "beacon_charge")
             if survivors:
                 self.sim.schedule_in(
                     radio.airtime(net.BEACON_BYTES)

@@ -7,11 +7,13 @@ from repro.core import DIKNNProtocol, KNNQuery, next_query_id
 from repro.geometry import Rect, Vec2
 from repro.mobility import GaussMarkovMobility
 from repro.net import EnergyLedger, EnergyModel
+from repro.net.messages import Message
 from repro.routing import GpsrRouter
 
 from tests.conftest import build_static_network
 
 FIELD = Rect.from_size(100.0, 100.0)
+FIELD_50 = Rect.from_size(50.0, 50.0)
 
 
 class TestLedgerBattery:
@@ -47,6 +49,34 @@ class TestNetworkBatteries:
         net.enable_batteries(capacity_j=2e-4)
         sim.run(until=sim.now + 20)
         assert net.alive_count() < 100
+
+    def test_protocol_and_beacon_energy_share_one_budget(self):
+        sim, net = build_static_network(n=60, seed=3)
+        victim = net.nearest_node(Vec2(50, 50))
+        net.enable_batteries(capacity_j=1e-3)
+        net.ledger.charge_rx(victim.id, 12_000)  # 0.6 mJ of protocol rx
+        assert victim.alive
+        # Beacon traffic (about 0.12 mJ/s here) spends the rest of the
+        # one budget although neither part reaches it alone.
+        sim.run(until=sim.now + 5)
+        assert not victim.alive
+        assert net.ledger.account(victim.id).total_j < 1e-3
+        assert net.ledger.account(victim.id, "beacon_charge").total_j < 1e-3
+
+    def test_beacon_drained_nodes_send_nothing_unflushed(self):
+        """Beacons are charged when something flushes them, but a node
+        whose beacons emptied its battery must not send, whether or not
+        anything read the tables in between."""
+        sim, net = build_static_network(n=60, seed=3, field=FIELD_50)
+        net.enable_batteries(capacity_j=net.ledger.node_total_j(0) + 1e-3)
+        sim.run(until=sim.now + 0.9)    # mid-interval: nothing flushed
+        before = net.stats.messages_sent
+        for node in net.nodes.values():
+            net.send(node, Message(kind="x", src=node.id, dst=-1,
+                                   size_bytes=20))
+        net.flush_beacons()
+        assert 0 < net.alive_count() < 60
+        assert net.stats.messages_sent - before == net.alive_count()
 
     def test_queries_keep_working_while_network_thins(self):
         sim, net = build_static_network(seed=5)

@@ -77,17 +77,15 @@ def beacon_state(net):
             k: (e.heard_at, e.beacon_position.x, e.beacon_position.y,
                 e.speed, e.velocity.x, e.velocity.y)
             for k, e in node.neighbor_table.items()}
-    energy = {nid: (net.beacon_ledger.account(nid).tx_j,
-                    net.beacon_ledger.account(nid).rx_j)
+    ledger = net.ledger
+    energy = {nid: (ledger.account(nid, "beacon_charge").tx_j,
+                    ledger.account(nid, "beacon_charge").rx_j)
               for nid in net.nodes}
-    mac = net._beacon_mac.stats
     return {
         "tables": tables,
         "energy": energy,
-        "ledger_total": net.beacon_ledger.total_j(),
+        "ledger_total": ledger.total_j("beacon_charge"),
         "beacons_sent": net.stats.beacons_sent,
-        "frames_sent": mac.frames_sent,
-        "bytes_sent": mac.bytes_sent,
     }
 
 
@@ -441,30 +439,78 @@ def test_flushed_event_count_matches_reference(restart):
 
 # -- mid-interval observation purity ---------------------------------------
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mid_interval_reads_do_not_perturb(seed):
-    """flush() is a pure function of (state, time): reading neighbor
-    tables mid-interval must not change any boundary state."""
+def schedule_protocol_charges(sim, net, seed, n, until):
+    """Protocol receptions at random times and nodes, charged straight
+    to the ledger: with a battery armed they interleave with the beacon
+    fires' charges on one budget."""
+    rng = _rng(seed + 700)
+    times = np.sort(rng.uniform(0.05, until, size=3 * n)).tolist()
+    for t, nid, bits in zip(times, rng.integers(0, n, size=len(times)),
+                            rng.integers(500, 4000, size=len(times))):
+        sim.schedule_at(t, lambda nid=int(nid), bits=int(bits):
+                        net.ledger.charge_rx(nid, bits))
+
+
+def record_deaths(net):
+    """The ids the battery kills, in order, as a list that grows."""
+    deaths = []
+    kill = net.ledger.on_depleted
+    net.ledger.on_depleted = lambda nid: (deaths.append(nid), kill(nid))
+    return deaths
+
+
+def _compare_polled(seed, battery):
+    """Boundary states (and battery deaths, in order) of one run left
+    alone and one whose tables are read mid-interval, compared."""
+    n = 30
+
     def run(poll):
-        sim, net, _ = build_network("batched", seed, n_nodes=30,
+        sim, net, _ = build_network("batched", seed, n_nodes=n,
                                     mobile=True)
+        deaths = []
+        if battery:
+            net.enable_batteries(6e-4)
+            deaths = record_deaths(net)
+            schedule_protocol_charges(sim, net, seed, n, until=2.0)
         net.start_beacons()
         out = []
         for t in (0.5, 1.0, 1.5, 2.0):
             if poll:
-                sim.run(until=t - 0.2)
-                for node in net.nodes.values():
-                    # Observer-triggered flush + materialization.  (Not
-                    # ``neighbors()``: that evicts stale entries as a
-                    # documented side effect, in both kernels alike.)
-                    dict(node.neighbor_table)
-                net.beacon_ledger.total_j()
+                for t_read in (t - 0.37, t - 0.2, t - 0.06):
+                    sim.run(until=t_read)
+                    for node in net.nodes.values():
+                        # Observer-triggered flush + materialization.
+                        # (Not ``neighbors()``: that evicts stale
+                        # entries as a documented side effect, in both
+                        # kernels alike.)
+                        dict(node.neighbor_table)
+                    net.ledger.total_j("beacon_charge")
             sim.run(until=t)
-            out.append(beacon_state(net))
+            out.append((beacon_state(net), list(deaths)))
         return out
 
-    for clean, polled in zip(run(False), run(True)):
-        assert_states_equal(clean, polled, context=f"seed={seed}")
+    clean, polled = run(False), run(True)
+    for i, ((cs, cd), (ps, pd)) in enumerate(zip(clean, polled)):
+        context = f"seed={seed} boundary={i}"
+        assert_states_equal(cs, ps, context=context)
+        assert cd == pd, f"{context}: deaths diverged"
+    if battery:
+        assert 0 < len(clean[-1][1]) < n, "the battery should thin the field"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mid_interval_reads_do_not_perturb(seed):
+    """flush() is a pure function of (state, time): reading neighbor
+    tables mid-interval must not change any boundary state."""
+    _compare_polled(seed, battery=False)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mid_interval_reads_do_not_perturb_deaths(seed):
+    """With a battery armed and protocol charges landing between beacon
+    fires, mid-interval reads must not change which nodes die, or in
+    which order, either."""
+    _compare_polled(seed, battery=True)
 
 
 # -- the whole-flush path under churn ---------------------------------------
@@ -477,7 +523,7 @@ def whole_flushes(monkeypatch):
     resolve = BatchedBeaconEngine._process_whole_flush
 
     def spy(engine, tf, tf_list, *args):
-        reuse = (engine._snap_full and not engine._snap_dirty
+        reuse = (engine._snap_full
                  and tf_list[0] - engine.snap_t
                  < engine.net.position_epsilon)
         calls.append((bool(engine.alive_mask.all()), reuse))
@@ -559,6 +605,45 @@ def test_equal_with_full_snapshot_stale_across_death(seed, whole_flushes):
     assert any(not all_alive and reuse
                for all_alive, reuse in whole_flushes), \
         "no flush reused a full snapshot across a death"
+
+
+# -- the per-charge battery path --------------------------------------------
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+def test_equal_with_batteries(seed, loss):
+    """An armed battery puts the kernel on its per-charge path, and
+    beacon traffic kills nodes in the middle of a flush.  Every third
+    node starts with protocol energy already spent, and more protocol
+    receptions land between beacon fires, so deaths come from the one
+    budget over both ledger parts.  Deaths and their order, tables and
+    per-node beacon energy match the reference at every boundary."""
+    n = 40
+
+    def run(kernel):
+        sim, net, driver = build_network(kernel, seed, n_nodes=n,
+                                         mobile=True, loss=loss)
+        net.enable_batteries(8e-4)
+        for nid in range(0, n, 3):
+            net.ledger.charge_rx(nid, 2000 * (nid % 5))
+        deaths = record_deaths(net)
+        schedule_protocol_charges(sim, net, seed, n, until=4.0)
+        driver.start_beacons()
+        out = []
+        for t in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+            sim.run(until=t)
+            out.append((beacon_state(net), list(deaths),
+                        [node.alive for node in net.nodes.values()]))
+        return out
+
+    reference, batched = run("reference"), run("batched")
+    for i, ((rs, rd, ra), (bs, bd, ba)) in enumerate(zip(reference,
+                                                          batched)):
+        context = f"seed={seed} loss={loss} boundary={i}"
+        assert_states_equal(rs, bs, context=context)
+        assert rd == bd, f"{context}: deaths diverged"
+        assert ra == ba, f"{context}: liveness diverged"
+    assert 0 < len(reference[3][1]) < n, "the battery should thin the field"
 
 
 @pytest.mark.parametrize("seed", SEEDS)

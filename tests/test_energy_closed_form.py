@@ -151,11 +151,15 @@ class TestLedgerCheckpoints:
                                                      rel=1e-12)
             assert a_led.total_j() == b_led.total_j()
 
-    def test_note_external_charges_advances_running_total(self):
-        led = EnergyLedger(EnergyModel())
+    def test_beacon_charges_leave_the_protocol_checkpoint(self):
+        led = self._ledger()
         cp = led.snapshot()
-        led.note_external_charges(0.25, 4)
-        assert led.since(cp) == scalar_reference(0.0, 0.25, 4)
+        led.charge_tx(1, 800, 20.0, "beacon_charge")
+        led.charge_rx(2, 800, "beacon_charge")
+        assert led.since(cp) == 0.0
+        assert led.total_j() == 0.0
+        assert led.total_j("beacon_charge") == (
+            led.model.tx_cost(800, 20.0) + led.model.rx_cost(800))
 
     def test_bulk_charging_refused_with_battery_or_observer(self):
         led = EnergyLedger(EnergyModel())
@@ -163,6 +167,6 @@ class TestLedgerCheckpoints:
         with pytest.raises(ValueError):
             led.charge_tx_repeated(1, 800, 20.0, 5)
         led2 = EnergyLedger(EnergyModel())
-        led2.probe.subscribe(led2.channel, lambda nid, kind, cost: None)
+        led2.probe.subscribe("charge", lambda nid, kind, cost: None)
         with pytest.raises(ValueError):
             led2.charge_rx_repeated(1, 800, 5)

@@ -110,12 +110,12 @@ class TestInjector:
         sim, net = self._tiny_net()
         inj = FaultInjector(sim, net, FaultPlan().degrade_links(
             at=1.0, duration_s=2.0, extra_loss=0.75)).install()
-        assert inj.extra_loss_now() == 0.0
+        assert inj.extra_loss_at(sim.now) == 0.0
         sim.run(until=2.0)
-        assert inj.extra_loss_now() == pytest.approx(0.75)
+        assert inj.extra_loss_at(sim.now) == pytest.approx(0.75)
         assert net.mac.loss_rate() == pytest.approx(0.75)
         sim.run(until=4.0)
-        assert inj.extra_loss_now() == 0.0
+        assert inj.extra_loss_at(sim.now) == 0.0
         assert net.mac.loss_rate() == 0.0
 
     def test_overlapping_degradations_compose(self):
@@ -125,7 +125,7 @@ class TestInjector:
                 .degrade_links(at=0.0, duration_s=5.0, extra_loss=0.5))
         inj = FaultInjector(sim, net, plan).install()
         sim.run(until=1.0)
-        assert inj.extra_loss_now() == pytest.approx(0.75)
+        assert inj.extra_loss_at(sim.now) == pytest.approx(0.75)
 
     def test_total_degradation_blocks_all_traffic(self):
         sim, net = self._tiny_net()

@@ -75,7 +75,7 @@ def run_frames(mac_cls, seed, radio=None, config=None, overlay=None,
     ledger = EnergyLedger(EnergyModel())
     mac = mac_cls(sim, radio, ledger, config)
     if overlay is not None:
-        mac.loss_overlay = lambda: overlay(sim.now)
+        mac.loss_overlay_at = overlay
     out = {"delivered": [], "failed": [], "mac_frame": [], "charges": [],
            "depleted": []}
     sim.probe.subscribe(
@@ -83,7 +83,7 @@ def run_frames(mac_cls, seed, radio=None, config=None, overlay=None,
         lambda start, **kw: out["mac_frame"].append(
             (start, sorted(kw.items()))))
     if observed:
-        ledger.emit_on(sim.probe, "charge")
+        ledger.emit_on(sim.probe)
         sim.probe.subscribe(
             "charge",
             lambda nid, kind, cost: out["charges"].append(
@@ -109,11 +109,10 @@ def run_frames(mac_cls, seed, radio=None, config=None, overlay=None,
 
         sim.schedule_at(t, _send)
     sim.run()
-    ledger.sync()
     out["stats"] = dataclasses.asdict(mac.stats)
     out["rng"] = mac._rng.bit_generator.state
     out["accounts"] = {nid: (_hex(a.tx_j), _hex(a.rx_j), _hex(a.idle_j))
-                       for nid, a in sorted(ledger._accounts.items())}
+                       for nid, a in sorted(ledger.accounts().items())}
     out["snapshot"] = _hex(ledger.snapshot())
     return out
 
@@ -178,16 +177,14 @@ def _run_network(monkeypatch, mac_cls, seed, battery_j=None):
     kills = []
     if battery_j is not None:
         net.enable_batteries(battery_j)
-        for ledger in (net.ledger, net.beacon_ledger):
-            kill = ledger.on_depleted
-            ledger.on_depleted = (
-                lambda nid, kill=kill: (kills.append(nid), kill(nid)))
+        kill = net.ledger.on_depleted
+        net.ledger.on_depleted = (
+            lambda nid: (kills.append(nid), kill(nid)))
     handle.warm_up()
     answers = []
     for point in ((40.0, 40.0), (20.0, 60.0), (60.0, 25.0)):
         out = repro.run_query(handle, Vec2(*point), k=8, timeout=6.0)
         answers.append((out.completed, out.latency, out.pre_accuracy))
-    net.ledger.sync()
     return {
         "answers": answers,
         "kills": kills,
@@ -197,7 +194,7 @@ def _run_network(monkeypatch, mac_cls, seed, battery_j=None):
         "net": dataclasses.asdict(net.stats),
         "rng": net.mac._rng.bit_generator.state,
         "accounts": {nid: (_hex(a.tx_j), _hex(a.rx_j))
-                     for nid, a in sorted(net.ledger._accounts.items())},
+                     for nid, a in sorted(net.ledger.accounts().items())},
         "snapshot": _hex(net.ledger.snapshot()),
         "alive": [n.alive for n in net.nodes.values()],
     }
@@ -241,7 +238,7 @@ class TestChargeRxMany:
     @staticmethod
     def _state(ledger):
         return ({nid: (_hex(a.tx_j), _hex(a.rx_j), _hex(a.idle_j))
-                 for nid, a in sorted(ledger._accounts.items())},
+                 for nid, a in sorted(ledger.accounts().items())},
                 _hex(ledger.snapshot()))
 
     @pytest.mark.parametrize("seed", SEEDS)

@@ -221,7 +221,7 @@ class TestMessaging:
 
     def test_beacon_energy_separate_from_protocol_energy(self):
         sim, net = build_static_network(n=50)
-        assert net.beacon_ledger.total_j() > 0.0
+        assert net.ledger.total_j("beacon_charge") > 0.0
         assert net.ledger.total_j() == 0.0
         net.register_handler("app", lambda n, m: None)
         net.nodes[0].broadcast("app", {}, 10)

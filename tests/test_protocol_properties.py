@@ -125,6 +125,6 @@ class TestLedgerInvariants:
         net, _result, _energy = run_random_query(seed, k, 60.0, 60.0)
         ledger = net.ledger
         assert ledger.total_j() == pytest.approx(
-            sum(acct.total_j for acct in ledger._accounts.values()))
-        for acct in ledger._accounts.values():
+            sum(acct.total_j for acct in ledger.accounts().values()))
+        for acct in ledger.accounts().values():
             assert acct.tx_j >= 0.0 and acct.rx_j >= 0.0

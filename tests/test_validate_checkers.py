@@ -83,7 +83,7 @@ def test_negative_charge_detected(validated_handle):
 
 
 def test_beacon_ledger_also_watched(validated_handle):
-    validated_handle.network.beacon_ledger.account(7).rx_j += 0.25
+    validated_handle.network.ledger.account(7, "beacon_charge").rx_j += 0.25
     with pytest.raises(InvariantViolation,
                        match=r"beacon ledger.*node=7|node=7.*beacon"):
         validated_handle.validator.check_now()
