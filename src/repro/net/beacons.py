@@ -23,6 +23,16 @@ is a pure function of (state, time): any observer that reads
 mid-interval state first forces a flush, and the flush result does not
 depend on what triggered it.
 
+A node's table read needs only its own row, so on the fast path (no
+battery, no per-charge or per-beacon subscriber, lossless unshadowed
+channel) it settles that row alone: fires due by then are generated and
+buffered unresolved, range-tested against the reader only, and the row
+keeps a "settled through" watermark that the next whole-field flush
+honours, so each pair is applied once.  Whole-field observations
+(``events_executed``, deferred beacon energy) first :meth:`settle
+<BatchedBeaconEngine.settle>` the field to the latest read, which is
+the state a whole-field flush at that read would have left.
+
 Scaling note: up to ``_DENSE_MAX`` nodes the neighbor store is a dense
 (N, N) float64 block and receiver sets come from full pairwise-distance
 rows; above it the store switches to the sorted, in-place-updated
@@ -42,12 +52,18 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from ..geometry import CellBuckets, Vec2
-from .energy import EnergyAccount, repeated_add
+from .energy import EnergyAccount, repeated_add, repeated_add_many
 from .neighbor_store import NeighborTable, SparseNeighborStore
 from .node import SensorNode
 
 #: jitter draws pre-drawn per refill
 _JIT_BLOCK = 32
+
+#: delivered pairs per store write: a flush applies its due deliveries
+#: in chronological chunks of about this many, so a whole epoch of a
+#: 10k-node field never holds all its pair columns (and the sparse
+#: store's scatter and compaction temporaries for them) at once
+_APPLY_CHUNK = 16384
 
 #: above this many nodes the engine switches to the sparse neighbor
 #: store and cell-bucketed receiver resolution (tests force the sparse
@@ -113,10 +129,12 @@ class MobilityBank:
         than once per flush); stale rows are refreshed sequentially so a
         multi-leg span within one flush stays exact.
         """
-        bad = np.nonzero((t < self.v0[idx]) | (t > self.v1[idx]))[0]
+        bad = ((t < self.v0[idx]) | (t > self.v1[idx])).nonzero()[0]
+        if not bad.size:
+            return self._eval(idx, t)
         for j in bad.tolist():
             self._refresh_row(int(idx[j]), float(t[j]))
-        still = np.nonzero((t < self.v0[idx]) | (t > self.v1[idx]))[0]
+        still = ((t < self.v0[idx]) | (t > self.v1[idx])).nonzero()[0]
         if still.size:
             # Same row requested at times spanning several legs: evaluate
             # those elements scalar-exactly.
@@ -144,7 +162,7 @@ class MobilityBank:
         t0 = self.t0[idx]
         denom = self.t1[idx] - t0
         frac = (t - t0) / denom
-        np.clip(frac, 0.0, 1.0, out=frac)
+        frac.clip(0.0, 1.0, out=frac)
         ox = self.ox[idx]
         oy = self.oy[idx]
         px = ox + (self.dx[idx] - ox) * frac
@@ -220,10 +238,17 @@ class MobilityBank:
 class BatchedBeaconEngine:
     """One-event-per-interval beacon kernel for a :class:`Network`.
 
-    All mid-interval state reads (neighbor tables, ledgers, counters) go
-    through :meth:`flush`, which brings the world up to ``sim.now`` and is
-    a pure function of (state, time) — so observer-triggered flushes
-    cannot perturb outcomes.
+    Mid-interval state reads go through :meth:`flush`, which brings the
+    world up to ``sim.now`` and is a pure function of (state, time) — so
+    observer-triggered flushes cannot perturb outcomes.  A table read
+    on the fast path goes through :meth:`settle_row` instead, which
+    brings only the reader's row up to ``sim.now``: the row a flush
+    would leave, at the cost of one row.  Until the next flush the other
+    rows, the event credits and the deferred beacon energy lag behind
+    the latest read; :meth:`settle` catches them up, and every reader of
+    those (``Simulator.events_executed``, the ledger's ``lazy_source``)
+    calls it first.  ``net.stats.beacons_sent`` never lags: a buffered
+    fire is counted when it is generated.
     """
 
     def __init__(self, network: "Network"):
@@ -295,6 +320,7 @@ class BatchedBeaconEngine:
         # order so EnergyLedger.total_j() sums in the order per-fire
         # charging would (float addition is order-sensitive).
         self._acct_touched = np.zeros(n, dtype=bool)
+        self._untouched = n
         # Account objects are created once and never replaced, so the
         # kernel keeps each touched row's beacon part for materializing.
         self._accts: List[Optional[EnergyAccount]] = [None] * n
@@ -309,6 +335,23 @@ class BatchedBeaconEngine:
         # Per-receiver beacon loss draws: their own stream, so beacons
         # never shift the MAC's frame draws.
         self._loss_rng = self.sim.rng.stream("mac.beacon")
+        # Row reads (fast path): the live fires generated since the last
+        # flush, unresolved, one column each of (t, t_deliver, bx, by,
+        # sp, vx, vy, snapshot time serving the fire), their sender rows,
+        # and the fires generated in all (credited when resolved).
+        self._buf = np.empty((8, 256))
+        self._buf_i = np.empty(256, dtype=np.int64)
+        self._buf_n = 0
+        self._buf_fires = 0
+        # Snapshot-group walk state after the last buffered fire.
+        self._buf_st = -math.inf
+        self._buf_full = False
+        # Latest row read since the last flush (None: none), and each
+        # row's "settled through" time; the next flush skips a row's
+        # deliveries at or before it.
+        self._read_t: Optional[float] = None
+        self._settled = np.full(n, -math.inf)
+        self.sim.defer_credits(self.settle)
         self._running = False
         self._flushing = False
         self._virtual_now = 0.0
@@ -317,6 +360,7 @@ class BatchedBeaconEngine:
         self.bits = (network.BEACON_BYTES + radio.header_bytes) * 8
         self.delay = (radio.airtime(network.BEACON_BYTES)
                       + radio.propagation_delay_s)
+        self._r_sq = radio.range_m ** 2
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -355,6 +399,9 @@ class BatchedBeaconEngine:
     def grow(self, node: SensorNode) -> None:
         """Attach a node added after engine construction (the network
         has already given it the next neighbor-table row)."""
+        # Buffered fires were walked without the new node: resolve them
+        # first (the rows below ``ids`` are unchanged by the growth).
+        self.settle()
         self.ids = self.table.ids
         self.bank.grow(node.mobility)
         self.next_fire = np.append(self.next_fire, np.inf)
@@ -371,6 +418,8 @@ class BatchedBeaconEngine:
         self.snap_alive = np.append(self.snap_alive, node.alive)
         self._snap_full = bool(self.snap_alive.all())
         self._acct_touched = np.append(self._acct_touched, False)
+        self._untouched += 1
+        self._settled = np.append(self._settled, -math.inf)
         self._accts.append(None)
         self._def_tx = np.append(self._def_tx, 0)
         self._def_rx = np.append(self._def_rx, 0)
@@ -411,30 +460,85 @@ class BatchedBeaconEngine:
 
     # -- flush ---------------------------------------------------------------
 
+    def _fast(self) -> bool:
+        """The fast gate: no battery and no ``beacon_charge`` subscriber
+        (so liveness cannot flip mid-flush and charges need no order), a
+        lossless unshadowed channel (no RNG draws to sequence) and every
+        alive node's beacon-part account already created (so creation
+        order is moot)."""
+        net = self.net
+        ledger = net.ledger
+        radio = net.radio
+        return (ledger.capacity_j is None
+                and not ledger.observed("beacon_charge")
+                and radio.shadowing_sigma == 0.0
+                and radio.base_loss_rate == 0.0
+                and net.mac.loss_overlay_at is None
+                and (self._untouched == 0
+                     or bool(self._acct_touched[self.alive_mask].all())))
+
+    def _row_reads(self) -> bool:
+        """Whether a table read may settle its row alone: the fast gate,
+        and no ``beacon`` subscriber (which must see every delivery in
+        order, as a flush makes them)."""
+        return self._fast() and not self.sim.probe.beacon
+
     def flush(self, now: float) -> None:
         """Bring beacon state exactly up to ``now``."""
         if self._flushing:
             return
-        if self._nf_min > now and self._next_delivery > now:
+        if self._read_t is not None and not self._row_reads():
+            # The gate closed since the buffered reads: settle them as
+            # the reads would have, before the closed gate changes how
+            # anything resolves.
+            self.settle()
+        if (self._nf_min > now and self._next_delivery > now
+                and self._read_t is None):
             return  # fast path: nothing due; no revision churn
         self._flushing = True
         try:
-            fires = self._generate_fires(now)
-            if fires is None:
-                n_events = 0
+            if self._fast():
+                self._buffer_fires(now)
+                n_events = self._resolve_buffer()
             else:
-                n_events = int(fires[0].size)
-                n_events += self._process_fires(fires[0], fires[1])
+                fires = self._generate_fires(now)
+                n_events = 0 if fires is None else (
+                    int(fires[0].size) + self._process_slow(*fires))
             self._apply_due(now)
-            self.last_flush = now
-            self._nf_min = float(self.next_fire.min()) if len(self.ids) \
-                else math.inf
-            self._next_delivery = self.pending[0][0] if self.pending \
-                else math.inf
-            if n_events:
-                self.sim.credit_events(n_events)
+            self._finish(now, n_events)
         finally:
             self._flushing = False
+
+    def settle(self) -> None:
+        """Bring the whole field up to the latest row read since the
+        last flush: resolve the buffered fires and apply every delivery
+        due by then, leaving the state a flush at that read would have
+        left (a no-op when no row was read since)."""
+        if self._read_t is None or self._flushing:
+            return
+        t = self._read_t
+        self._flushing = True
+        try:
+            n_events = self._resolve_buffer()
+            # The reads ran with no ``beacon`` subscriber, so a flush at
+            # their time would have told none.
+            self._apply_due(t, tell_pairs=False)
+            self._finish(t, n_events)
+        finally:
+            self._flushing = False
+
+    def _finish(self, t: float, n_events: int) -> None:
+        """Book a whole-field flush up to ``t``: every row is settled."""
+        self.last_flush = t
+        self._nf_min = float(self.next_fire.min()) if len(self.ids) \
+            else math.inf
+        self._next_delivery = self.pending[0][0] if self.pending \
+            else math.inf
+        if self._read_t is not None:
+            self._read_t = None
+            self._settled.fill(-math.inf)
+        if n_events:
+            self.sim.credit_events(n_events)
 
     def _generate_fires(self, now: float) -> Optional[tuple]:
         """``(t_arr, i_arr)`` of all fires with t <= now, chronological
@@ -446,7 +550,7 @@ class BatchedBeaconEngine:
         fire will be skipped (dead/muted): a periodic task draws its next
         delay whatever its callback did.
         """
-        due = np.nonzero(self.next_fire <= now)[0]
+        due = (self.next_fire <= now).nonzero()[0]
         if due.size == 0:
             return None
         interval = self.interval
@@ -480,7 +584,7 @@ class BatchedBeaconEngine:
             cur_t = nxt[again]
         t_arr = np.concatenate(t_parts)
         i_arr = np.concatenate(i_parts)
-        order = np.argsort(t_arr, kind="stable")
+        order = t_arr.argsort(kind="stable")
         return t_arr[order], i_arr[order]
 
     def _refresh_snapshot(self, t: float) -> None:
@@ -512,9 +616,148 @@ class BatchedBeaconEngine:
         sel &= pcols != g_idx[prows]
         return prows[sel], pcols[sel]
 
-    def _process_fires(self, t_all: np.ndarray, i_all: np.ndarray) -> int:
-        """Execute live fires in order; returns the number of delivery
-        batches created (for event crediting)."""
+    def _walk_groups(self, tf: np.ndarray, st: float, full: bool):
+        """Snapshot groups of the live fires ``tf`` (ascending), walked
+        from a snapshot taken at ``st`` (full or not) by the
+        ``_sync_grid`` rule: a fire refreshes the snapshot when it is
+        stale by epsilon, or when it is missing a node (it drops dead
+        nodes, so it re-syncs every fire until everyone is back); a
+        full-but-stale snapshot keeps serving within epsilon even if a
+        node died since.  Liveness cannot flip inside a fast flush, so
+        "full" after a refresh means everyone is alive now.
+
+        Returns ``(starts, st, full)``: the indices of the fires that
+        refresh, and the state after the last fire.
+        """
+        eps = self.net.position_epsilon
+        all_alive = bool(self.alive_mask.all())
+        starts: List[int] = []
+        n = int(tf.size)
+        k = 0
+        while k < n:
+            if full:
+                # ``t - st`` is non-decreasing in t: the first stale
+                # fire is one binary search away.
+                k += int(np.searchsorted(tf[k:] - st, eps, side="left"))
+                if k >= n:
+                    break
+            starts.append(k)
+            st = float(tf[k])
+            full = all_alive
+            k += 1
+            if not full and k < n:
+                starts.extend(range(k, n))
+                st = float(tf[-1])
+                break
+        return starts, st, full
+
+    def _buffer_fires(self, now: float) -> None:
+        """Generate every fire due by ``now`` and buffer the live ones
+        unresolved, with their sender kinematics and the snapshot time
+        that will serve each; count them as sent."""
+        if self._nf_min > now:
+            return
+        fires = self._generate_fires(now)
+        self._nf_min = float(self.next_fire.min())
+        if fires is None:
+            return
+        t_all, i_all = fires
+        self._buf_fires += int(t_all.size)
+        ok = self.alive_mask[i_all] & ~self.muted_mask[i_all]
+        if not ok.all():
+            t_all, i_all = t_all[ok], i_all[ok]
+        m = int(t_all.size)
+        if not m:
+            return
+        if not self._buf_n:
+            self._buf_st, self._buf_full = self.snap_t, self._snap_full
+        st0 = self._buf_st
+        starts, self._buf_st, self._buf_full = self._walk_groups(
+            t_all, st0, self._buf_full)
+        if not starts:
+            g_t = st0
+        elif len(starts) == m:
+            g_t = t_all
+        else:
+            gid = np.zeros(m, dtype=np.intp)
+            gid[starts] = 1
+            g_t = np.concatenate(([st0], t_all[starts]))[gid.cumsum()]
+        n0, n1 = self._buf_n, self._buf_n + m
+        if n1 > self._buf_i.size:
+            cap = 2 * n1
+            buf = np.empty((8, cap))
+            buf[:, :n0] = self._buf[:, :n0]
+            buf_i = np.empty(cap, dtype=np.int64)
+            buf_i[:n0] = self._buf_i[:n0]
+            self._buf, self._buf_i = buf, buf_i
+        b = self._buf
+        b[0, n0:n1] = t_all
+        b[1, n0:n1] = t_all + self.delay
+        (b[2, n0:n1], b[3, n0:n1], b[4, n0:n1], b[5, n0:n1],
+         b[6, n0:n1]) = self.bank.kinematics_at(i_all, t_all)
+        b[7, n0:n1] = g_t
+        self._buf_i[n0:n1] = i_all
+        self._buf_n = n1
+        self.net.stats.beacons_sent += m
+
+    def _resolve_buffer(self) -> int:
+        """Resolve every buffered fire in one pass, leave its delivery
+        records in ``pending`` and bank its energy; returns the events
+        to credit (fires generated plus delivery batches)."""
+        n_events = self._buf_fires
+        self._buf_fires = 0
+        m = self._buf_n
+        if not m:
+            return n_events
+        self._buf_n = 0
+        b = self._buf
+        # Copies: pending records outlive the buffer's next refill.
+        tf = b[0, :m].copy()
+        idx = self._buf_i[:m].copy()
+        kin = tuple(b[row, :m].copy() for row in range(2, 7))
+        n = len(self.ids)
+        tx_counts = np.bincount(idx, minlength=n)
+        rx_counts = np.zeros(n, dtype=np.int64)
+        if self._large:
+            n_batches = self._resolve_groups(tf, idx, kin, rx_counts)
+        else:
+            n_batches = self._process_whole_flush(tf, tf.tolist(), idx, kin,
+                                                  rx_counts)
+        self._bulk_energy(self.net, tx_counts, rx_counts)
+        return n_events + n_batches
+
+    def _resolve_groups(self, tf: np.ndarray, idx: np.ndarray, kin: tuple,
+                        rx_counts: np.ndarray) -> int:
+        """The sparse store's fast resolution: each snapshot group folds
+        into a handful of array ops over its cell-bucket candidates and
+        leaves one group record; returns the delivery batches made."""
+        starts, _st, _full = self._walk_groups(tf, self.snap_t,
+                                               self._snap_full)
+        spx, spy = kin[0], kin[1]
+        r_sq = self.net.radio.range_m ** 2
+        n = len(self.ids)
+        n_batches = 0
+        bounds = ([0] if not starts or starts[0] else []) + starts
+        for a, b in zip(bounds, bounds[1:] + [int(tf.size)]):
+            if starts and a >= starts[0]:
+                self._refresh_snapshot(float(tf[a]))
+            g_idx = idx[a:b]
+            prows, pcols = self._group_pairs(g_idx, spx[a:b], spy[a:b], r_sq)
+            rx_counts += np.bincount(pcols, minlength=n)
+            n_batches += int(np.count_nonzero(
+                np.bincount(prows, minlength=b - a)))
+            if prows.size:
+                tds = tf[a:b] + self.delay
+                self.pending.append((float(tds[0]), tds, g_idx, prows, pcols)
+                                    + tuple(c[a:b] for c in kin))
+        self._virtual_now = float(tf[-1])
+        return n_batches
+
+    def _process_slow(self, t_all: np.ndarray, i_all: np.ndarray) -> int:
+        """Execute live fires in order, one at a time: per-fire RNG
+        draws and eager charges (slow energy, shadowing, loss), with
+        cell-bucketed candidates on a sparse store; returns the number
+        of delivery batches created (for event crediting)."""
         net = self.net
         ok = self.alive_mask[i_all] & ~self.muted_mask[i_all]
         if not ok.any():
@@ -544,37 +787,12 @@ class BatchedBeaconEngine:
             tx_counts = np.zeros(len(self.ids), dtype=np.int64)
             rx_counts = np.zeros(len(self.ids), dtype=np.int64)
 
-        # Fast flush: with no battery observer (so liveness cannot flip
-        # mid-flush), no shadowing, a lossless channel (no RNG draws to
-        # sequence) and every alive node's ledger account already created
-        # (so creation order is moot), the per-fire loop below
-        # degenerates to pure counter increments.  A dense store then
-        # resolves the whole flush at once; a sparse one folds each
-        # snapshot group into a handful of array ops.
-        fast = (not slow_energy and not shadowing and not has_overlay
-                and base_loss == 0.0
-                and bool(self._acct_touched[self.alive_mask].all()))
-
-        if fast and not self._large:
-            n_batches = self._process_whole_flush(
-                tf, tf_list, idx, (spx, spy, ssp, svx, svy), tx_counts,
-                rx_counts)
-            self._bulk_energy(net, tx_counts, rx_counts)
-            return n_batches
-
-        # The sequential loop: per-fire RNG draws and eager charges
-        # (slow energy, shadowing, loss) or cell-bucketed candidates
-        # (sparse store).
         n_live = len(tf_list)
         k = 0
         while k < n_live:
             t_k = tf_list[k]
-            # The _sync_grid rule: refresh when stale by epsilon, or when
-            # the snapshot is missing a node (it drops dead nodes, so the
-            # length check fails and it re-syncs every fire until
-            # everyone is back).  A full-but-stale snapshot keeps
-            # serving within epsilon even if a node died since, in this
-            # flush or before it.
+            # The snapshot rule of _walk_groups, fire by fire: a battery
+            # may change liveness inside this loop.
             if t_k - self.snap_t >= eps or not self._snap_full:
                 self._refresh_snapshot(t_k)
             # Group consecutive fires sharing this snapshot.
@@ -601,23 +819,6 @@ class BatchedBeaconEngine:
                 in_range &= self.alive_mask[None, :]
                 in_range[np.arange(B), g_idx] = False
                 row_starts = None
-            if fast:
-                # Sparse store only: dense fast flushes never get here.
-                row_counts = np.bincount(prows, minlength=B)
-                net.stats.beacons_sent += B
-                np.add.at(tx_counts, g_idx, 1)
-                rx_counts += np.bincount(pcols, minlength=len(self.ids))
-                n_batches += int((row_counts > 0).sum())
-                if prows.size:
-                    tds = tf[k:g_end] + self.delay
-                    self.pending.append(
-                        (float(tds[0]), tds, g_idx.copy(), prows, pcols,
-                         spx[k:g_end].copy(), spy[k:g_end].copy(),
-                         ssp[k:g_end].copy(), svx[k:g_end].copy(),
-                         svy[k:g_end].copy()))
-                self._virtual_now = tf_list[g_end - 1]
-                k = g_end
-                continue
             for g in range(k, g_end):
                 t_f = tf_list[g]
                 s_i = idx_list[g]
@@ -688,51 +889,42 @@ class BatchedBeaconEngine:
 
     def _process_whole_flush(self, tf: np.ndarray, tf_list: List[float],
                              idx: np.ndarray, kin: tuple,
-                             tx_counts: np.ndarray,
                              rx_counts: np.ndarray) -> int:
         """Resolve every live fire of a fast dense flush in one pass;
         returns the number of delivery batches created.
 
         Liveness cannot flip mid-flush, so the snapshot groups the
         sequential loop would form are a pure function of the fire
-        times: walk them up front with its rule (refresh when stale by
-        epsilon or when the snapshot is not full; after a refresh, full
-        means everyone is alive).  Every group's snapshot comes from one
-        multi-time bank call, every fire's receivers from one
+        times (:meth:`_walk_groups`).  Every group's snapshot comes from
+        one multi-time bank call, every fire's receivers from one
         (n_fires, N) range matrix, and the flush leaves one group record
-        in ``pending``.  Only a
-        full snapshot is ever reused, so fires it serves need no mask
-        beyond the current ``alive_mask`` — the same one a refreshed
-        snapshot holds.
+        in ``pending``.  Only a full snapshot is ever reused, so fires it
+        serves need no mask beyond the current ``alive_mask`` — the same
+        one a refreshed snapshot holds.
         """
         net = self.net
         spx, spy = kin[0], kin[1]
-        eps = net.position_epsilon
         all_alive = bool(self.alive_mask.all())
-        group_t: List[float] = []      # refresh time per new group
-        g_of: List[int] = []           # per-fire snapshot row (0 = old)
-        st = self.snap_t
-        full = self._snap_full
-        for t_f in tf_list:
-            if t_f - st >= eps or not full:
-                group_t.append(t_f)
-                st = t_f
-                full = all_alive
-            g_of.append(len(group_t))
-        if group_t:
-            gx, gy = self.bank.positions_many(np.array(group_t))
+        n_live = len(tf_list)
+        starts, st, full = self._walk_groups(tf, self.snap_t,
+                                             self._snap_full)
+        # Per-fire snapshot row: 0 is the pre-flush snapshot, g the g-th
+        # refresh.
+        g_row = np.zeros(n_live, dtype=np.intp)
+        if starts:
+            g_row[starts] = 1
+            g_row = np.cumsum(g_row)
+            gx, gy = self.bank.positions_many(tf[starts])
             sxs = np.concatenate((self.snap_x[None, :], gx))
             sys_ = np.concatenate((self.snap_y[None, :], gy))
             self.snap_x = gx[-1].copy()
             self.snap_y = gy[-1].copy()
             self.snap_alive = self.alive_mask.copy()
-            self._snap_full = all_alive
-            self.snap_t = group_t[-1]
+            self._snap_full = full
+            self.snap_t = st
         else:
             sxs = self.snap_x[None, :]
             sys_ = self.snap_y[None, :]
-        g_row = np.array(g_of, dtype=np.intp)
-        n_live = len(tf_list)
         dxm = sxs[g_row]
         dxm -= spx[:, None]
         dxm *= dxm
@@ -746,14 +938,11 @@ class BatchedBeaconEngine:
         in_range[np.arange(n_live), idx] = False
         # np.nonzero is row-major: pairs sorted by (fire, receiver).
         prows, pcols = np.nonzero(in_range)
-        n = len(self.ids)
-        net.stats.beacons_sent += n_live
-        tx_counts += np.bincount(idx, minlength=n)
-        rx_counts += np.bincount(pcols, minlength=n)
+        rx_counts += np.bincount(pcols, minlength=len(self.ids))
         if prows.size:
             tds = tf + self.delay
-            self.pending.append((float(tds[0]), tds, idx.copy(), prows,
-                                 pcols) + kin)
+            self.pending.append((float(tds[0]), tds, idx, prows, pcols)
+                                + kin)
         self._virtual_now = tf_list[-1]
         return int(np.count_nonzero(in_range.any(axis=1)))
 
@@ -781,17 +970,31 @@ class BatchedBeaconEngine:
         self._accts[i] = self.net.ledger.account(int(self.ids[i]),
                                                  "beacon_charge")
         self._acct_touched[i] = True
+        self._untouched -= 1
 
     def _energy_probe(self, node_id: Optional[int]) -> None:
-        """Ledger ``lazy_source`` gateway: materialize banked beacon
-        charges for ``node_id`` (None = every node) before the account
-        is read or mutated."""
+        """Ledger ``lazy_source`` gateway: settle the field to the latest
+        row read, then materialize banked beacon charges for ``node_id``
+        (None = every node, in two vector passes) before the account is
+        read or mutated."""
+        self.settle()
         if self._def_costs is None:
             return
         if node_id is None:
-            nz = np.nonzero(self._def_tx | self._def_rx)[0]
-            for i in nz.tolist():
-                self._materialize_row(i)
+            nz = np.flatnonzero(self._def_tx | self._def_rx)
+            if not nz.size:
+                return
+            accts = [self._accts[i] for i in nz.tolist()]
+            tx_cost, rx_cost = self._def_costs
+            tx = repeated_add_many([a.tx_j for a in accts], tx_cost,
+                                   self._def_tx[nz])
+            rx = repeated_add_many([a.rx_j for a in accts], rx_cost,
+                                   self._def_rx[nz])
+            self._def_tx[nz] = 0
+            self._def_rx[nz] = 0
+            for acct, tx_j, rx_j in zip(accts, tx.tolist(), rx.tolist()):
+                acct.tx_j = tx_j
+                acct.rx_j = rx_j
             return
         i = self.index.get(node_id)
         if i is not None:
@@ -843,8 +1046,11 @@ class BatchedBeaconEngine:
             out[sel] = vals
         return out
 
-    def _apply_due(self, now: float) -> None:
-        """Deliver all pending beacon batches with t_deliver <= now."""
+    def _apply_due(self, now: float, tell_pairs: bool = True) -> None:
+        """Deliver all pending beacon batches with t_deliver <= now
+        (telling ``beacon`` subscribers of each pair if ``tell_pairs``),
+        except a row's pairs at or before its "settled through" time,
+        which a row read has applied already."""
         if not self.pending or self.pending[0][0] > now:
             return
         split = 0
@@ -880,23 +1086,19 @@ class BatchedBeaconEngine:
             self.pending.insert(0, straddler)
         has_transitions = bool(self._transitions)
         all_alive = not has_transitions and bool(self.alive_mask.all())
-        hooks = self.net.sim.probe.beacon
+        hooks = self.net.sim.probe.beacon if tell_pairs else ()
         batch_hooks = self.net.sim.probe.beacon_batch
         n_delivered = 0
-        F_parts: List[np.ndarray] = []
-        R_parts: List[np.ndarray] = []
-        S_parts: List[np.ndarray] = []
-        T_parts: List[np.ndarray] = []
-        BX_parts: List[np.ndarray] = []
-        BY_parts: List[np.ndarray] = []
-        SP_parts: List[np.ndarray] = []
-        VX_parts: List[np.ndarray] = []
-        VY_parts: List[np.ndarray] = []
+        # Senders' fires, and delivered (receiver, sender, t, bx, by, sp,
+        # vx, vy) columns, since the last write.
+        fires: List[np.ndarray] = []
+        parts: List[tuple] = []
+        n_parts = 0
         for entry in due:
             if isinstance(entry[1], np.ndarray):
                 (_td0, tds, gi, g_rows, g_cols,
                  gbx, gby, gsp, gvx, gvy) = entry
-                F_parts.append(gi)
+                fires.append(gi)
                 if has_transitions:
                     if g_rows.size:
                         keep = self._alive_at_bulk(g_cols, tds[g_rows])
@@ -917,101 +1119,200 @@ class BatchedBeaconEngine:
                     for rid, src, t_d in zip(rids, srcs, t_ds):
                         for hook in hooks:
                             hook(rid, src, t_d)
-                n_delivered += int(g_rows.size)
-                R_parts.append(g_cols)
-                S_parts.append(gi[g_rows])
-                T_parts.append(tds[g_rows])
-                BX_parts.append(gbx[g_rows])
-                BY_parts.append(gby[g_rows])
-                SP_parts.append(gsp[g_rows])
-                VX_parts.append(gvx[g_rows])
-                VY_parts.append(gvy[g_rows])
-                continue
-            (td, s_i, surv, bx, by, sp, vx, vy) = entry
-            F_parts.append(np.array([s_i], dtype=np.int64))
-            if has_transitions:
-                surv = surv[self._alive_at_bulk(
-                    surv, np.full(surv.size, td))]
+                parts.append((g_cols, gi[g_rows], tds[g_rows], gbx[g_rows],
+                              gby[g_rows], gsp[g_rows], gvx[g_rows],
+                              gvy[g_rows]))
             else:
-                surv = surv[self.alive_mask[surv]]
-            if surv.size == 0:
-                continue
-            if hooks:
-                src = int(self.ids[s_i])
-                for r in surv.tolist():
-                    rid = int(self.ids[r])
-                    for hook in hooks:
-                        hook(rid, src, td)
-            m = surv.size
-            n_delivered += int(m)
-            R_parts.append(surv)
-            S_parts.append(np.full(m, s_i, dtype=np.int64))
-            T_parts.append(np.full(m, td))
-            BX_parts.append(np.full(m, bx))
-            BY_parts.append(np.full(m, by))
-            SP_parts.append(np.full(m, sp))
-            VX_parts.append(np.full(m, vx))
-            VY_parts.append(np.full(m, vy))
+                (td, s_i, surv, bx, by, sp, vx, vy) = entry
+                fires.append(np.array([s_i], dtype=np.int64))
+                if has_transitions:
+                    surv = surv[self._alive_at_bulk(
+                        surv, np.full(surv.size, td))]
+                else:
+                    surv = surv[self.alive_mask[surv]]
+                if surv.size == 0:
+                    continue
+                if hooks:
+                    src = int(self.ids[s_i])
+                    for r in surv.tolist():
+                        rid = int(self.ids[r])
+                        for hook in hooks:
+                            hook(rid, src, td)
+                m = surv.size
+                parts.append((surv, np.full(m, s_i, dtype=np.int64))
+                             + tuple(np.full(m, v)
+                                     for v in (td, bx, by, sp, vx, vy)))
+            m = int(parts[-1][0].size)
+            n_delivered += m
+            n_parts += m
+            if n_parts >= _APPLY_CHUNK:
+                self._write_deliveries(fires, parts)
+                fires, parts, n_parts = [], [], 0
         if n_delivered and batch_hooks:
             for hook in batch_hooks:
                 hook(n_delivered)
-        if R_parts:
-            if len(R_parts) == 1:
-                R, S, T = R_parts[0], S_parts[0], T_parts[0]
-                BX, BY, SP = BX_parts[0], BY_parts[0], SP_parts[0]
-                VX, VY = VX_parts[0], VY_parts[0]
-            else:
-                R = np.concatenate(R_parts)
-                S = np.concatenate(S_parts)
-                T = np.concatenate(T_parts)
-                BX = np.concatenate(BX_parts)
-                BY = np.concatenate(BY_parts)
-                SP = np.concatenate(SP_parts)
-                VX = np.concatenate(VX_parts)
-                VY = np.concatenate(VY_parts)
-            n = len(self.ids)
-            # Duplicate (receiver, sender) pairs can only come from a
-            # sender with >= 2 fires delivered in this apply window, so
-            # gate the (sort-based) dedup on a cheap per-sender fire
-            # count and restrict it to that sender's rows.
-            fire_counts = np.bincount(np.concatenate(F_parts), minlength=n)
-            if fire_counts.max() > 1:
-                dup = fire_counts[S] > 1
-                d_idx = np.nonzero(dup)[0]
-                d_key = R[d_idx] * n + S[d_idx]
-                # Stable argsort groups equal keys in delivery order, so
-                # the last element of each run is the latest delivery —
-                # a sort-based unique that avoids np.unique (whose first
-                # call drags in the numpy.ma subtree, ~25 ms).
-                order = np.argsort(d_key, kind="stable")
-                ks = d_key[order]
-                if ks.size > 1 and bool((ks[1:] == ks[:-1]).any()):
-                    # Keep the LAST (latest delivery) of each duplicate
-                    # pair — fancy assignment order for duplicates is
-                    # not guaranteed, so dedup explicitly.  Deliveries
-                    # are chronological, so a boolean keep-mask (which
-                    # preserves order) is equivalent.
-                    run_last = np.nonzero(
-                        np.append(ks[1:] != ks[:-1], True))[0]
-                    last = d_idx[order[run_last]]
-                    keep = np.ones(S.size, dtype=bool)
-                    keep[d_idx] = False
-                    keep[last] = True
-                    R, S, T = R[keep], S[keep], T[keep]
-                    BX, BY, SP = BX[keep], BY[keep], SP[keep]
-                    VX, VY = VX[keep], VY[keep]
-            self.store.scatter(R, S, T, BX, BY, SP, VX, VY)
+        if parts:
+            self._write_deliveries(fires, parts)
         if self._transitions:
             t_min = min((p[0] for p in self.pending), default=math.inf)
             self._transitions = [tr for tr in self._transitions
                                  if tr[0] > t_min]
 
+    def _write_deliveries(self, fires: List[np.ndarray],
+                          parts: List[tuple]) -> None:
+        """Scatter chronological delivery columns into the store: the
+        latest delivery of each (receiver, sender) pair wins, and a
+        row's deliveries at or before its settled time are skipped.
+
+        Writes in chronological chunks leave what one write would: a
+        later chunk's cell overwrites an earlier one's.
+        """
+        cols = ([np.concatenate(c) for c in zip(*parts)] if len(parts) > 1
+                else list(parts[0]))
+        R, S, T = cols[0], cols[1], cols[2]
+        if self._read_t is not None:
+            keep = T > self._settled[R]
+            if not keep.all():
+                cols = [c[keep] for c in cols]
+                R, S = cols[0], cols[1]
+        n = len(self.ids)
+        # Duplicate (receiver, sender) pairs can only come from a
+        # sender with >= 2 fires delivered in this write, so gate the
+        # (sort-based) dedup on a cheap per-sender fire count and
+        # restrict it to that sender's rows.
+        fire_counts = np.bincount(np.concatenate(fires), minlength=n)
+        if fire_counts.max() > 1:
+            d_idx = np.nonzero(fire_counts[S] > 1)[0]
+            d_key = R[d_idx] * n + S[d_idx]
+            # Stable argsort groups equal keys in delivery order, so
+            # the last element of each run is the latest delivery —
+            # a sort-based unique that avoids np.unique (whose first
+            # call drags in the numpy.ma subtree, ~25 ms).
+            order = np.argsort(d_key, kind="stable")
+            ks = d_key[order]
+            if ks.size > 1 and bool((ks[1:] == ks[:-1]).any()):
+                # Keep the LAST (latest delivery) of each duplicate
+                # pair — fancy assignment order for duplicates is
+                # not guaranteed, so dedup explicitly.  Deliveries
+                # are chronological, so a boolean keep-mask (which
+                # preserves order) is equivalent.
+                run_last = np.nonzero(
+                    np.append(ks[1:] != ks[:-1], True))[0]
+                last = d_idx[order[run_last]]
+                keep = np.ones(S.size, dtype=bool)
+                keep[d_idx] = False
+                keep[last] = True
+                cols = [c[keep] for c in cols]
+        self.store.scatter(*cols)
+
     # -- reads ---------------------------------------------------------------
 
     def sync_node_table(self, node: SensorNode) -> Tuple[np.ndarray, ...]:
-        """Flush, then return ``node``'s neighbor-table row."""
-        self.flush(self.sim.now)
+        """Settle ``node``'s row up to now (:meth:`settle_row`), then
+        return it."""
+        self.settle_row(node)
         return self.store.row(self.index[node.id])
+
+    def settle_row(self, node: SensorNode) -> None:
+        """Bring ``node``'s neighbor-table row exactly to what a flush
+        to now would leave in it.  On the fast path only that row is
+        touched (:meth:`_settle_row`); otherwise this is a flush."""
+        if self._flushing:
+            return
+        if self._row_reads():
+            self._settle_row(self.index[node.id], self.sim.now)
+        else:
+            self.flush(self.sim.now)
+
+    def _settle_row(self, r: int, now: float) -> None:
+        """Apply to row ``r`` every delivery due to it in (its settled
+        time, ``now``]: pending records plus buffered fires, the latter
+        range-tested against the reader's own position in the snapshot
+        that will serve each fire.
+
+        The arithmetic is the flush's (``snapshot - sender``, squared,
+        summed, against ``range_m ** 2``), so membership is bitwise the
+        same.  Group times are a pure function of the fire times, and a
+        buffered fire's sender kinematics are those the flush will
+        store.  Receiver liveness is the current one: any liveness
+        change flushes first, so it held over the whole window.
+        """
+        if self._nf_min <= now:
+            self._buffer_fires(now)
+        elif (self._read_t is None and self._next_delivery > now):
+            return  # nothing due anywhere: a flush would be a no-op
+        self._read_t = now
+        lo = float(self._settled[r])
+        self._settled[r] = now
+        if not self.alive_mask[r]:
+            return
+        # (sender, t_deliver, bx, by, sp, vx, vy) columns, chronological.
+        parts: List[tuple] = []
+        for e in self.pending:
+            if e[0] > now:
+                break
+            if isinstance(e[1], np.ndarray):
+                tds, gi, prows, pcols = e[1], e[2], e[3], e[4]
+                if tds[-1] <= lo:
+                    continue  # applied by an earlier read of the row
+                rows = prows[pcols == r]
+                t = tds[rows]
+                rows = rows[(t > lo) & (t <= now)]
+                if rows.size:
+                    parts.append((gi[rows], tds[rows])
+                                 + tuple(c[rows] for c in e[5:]))
+            elif lo < e[0] <= now and bool((e[2] == r).any()):
+                parts.append((np.array([e[1]]), np.array([e[0]]))
+                             + tuple(np.array([v]) for v in e[3:]))
+        n = self._buf_n
+        if n:
+            b = self._buf
+            td = b[1, :n]
+            a = int(td.searchsorted(lo, side="right"))
+            z = int(td.searchsorted(now, side="right"))
+            if z > a:
+                # The reader's position in the snapshot serving each
+                # fire: the flush's own snapshot, or the bank at the
+                # fire's refresh time.
+                g_t = b[7, a:z]
+                old = g_t == self.snap_t
+                if old.all():
+                    rx, ry = self.snap_x[r], self.snap_y[r]
+                elif not old.any():
+                    rx, ry = self.bank.kinematics_at(np.full(z - a, r),
+                                                     g_t)[:2]
+                else:
+                    rx = np.full(z - a, self.snap_x[r])
+                    ry = np.full(z - a, self.snap_y[r])
+                    new = (~old).nonzero()[0]
+                    rx[new], ry[new] = self.bank.kinematics_at(
+                        np.full(new.size, r), g_t[new])[:2]
+                dx = rx - b[2, a:z]
+                dy = ry - b[3, a:z]
+                hit = dx * dx + dy * dy <= self._r_sq
+                hit &= self._buf_i[a:z] != r
+                sel = hit.nonzero()[0]
+                if sel.size:
+                    sel += a
+                    parts.append((self._buf_i[sel],)
+                                 + tuple(b[1:7, sel]))
+        if not parts:
+            return
+        cols = [np.concatenate(c) if len(parts) > 1 else c[0]
+                for c in zip(*parts)]
+        if cols[0].size > 1:
+            # Keep each sender's latest delivery (the arrays are
+            # chronological, and the stable sort keeps them so per
+            # sender).
+            order = cols[0].argsort(kind="stable")
+            s = cols[0][order]
+            dup = s[1:] == s[:-1]
+            if dup.any():
+                last = order[np.append(~dup, True)]
+                cols = [c[last] for c in cols]
+        S, T, BX, BY, SP, VX, VY = cols
+        self.store.scatter(np.full(S.size, r, dtype=np.int64), S, T, BX, BY,
+                           SP, VX, VY)
 
     def sweep_evict(self, now: float, timeout: float) -> int:
         """Proactive staleness eviction across all alive rows: one

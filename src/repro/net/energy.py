@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence
 
+import numpy as np
+
 from ..sim.probe import Probe
 
 
@@ -90,6 +92,68 @@ def repeated_add(total: float, cost: float, count: int) -> float:
             total += k * d              # k*step <= 2**53: product exact
             count -= k
     return total
+
+
+#: vector rounds of :func:`repeated_add_many` before the elements still
+#: counting finish on the scalar path (one round per binade crossed,
+#: plus one per step the blocked jump cannot take)
+_VECTOR_ROUNDS = 80
+
+
+def repeated_add_many(totals, cost: float, counts) -> np.ndarray:
+    """:func:`repeated_add` elementwise: ``out[i]`` is bitwise
+    ``repeated_add(totals[i], cost, counts[i])`` (proven in
+    ``tests/test_energy_closed_form.py``).
+
+    Each vector round is one iteration of the scalar loop for every
+    element still counting: one add, then the blocked jump to the binade
+    top where its guards hold.  A handful of rounds finishes realistic
+    counts; whatever still counts after ``_VECTOR_ROUNDS`` (a long run of
+    rounding ties) finishes on the scalar path, as do negative or
+    non-finite totals and costs.
+    """
+    out = np.array(totals, dtype=np.float64)
+    left = np.maximum(np.asarray(counts, dtype=np.int64), 0)
+    if cost == 0.0:
+        out[left > 0] += 0.0  # normalizes -0.0 like one scalar add
+        return out
+    scalar = left > 0
+    if math.isfinite(cost) and cost > 0.0:
+        scalar &= ~(np.isfinite(out) & (out >= 0.0))
+    for i in np.flatnonzero(scalar).tolist():
+        out[i] = repeated_add(float(out[i]), cost, int(left[i]))
+    left[scalar] = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_VECTOR_ROUNDS):
+            act = np.flatnonzero(left)
+            if not act.size:
+                return out
+            total = out[act]
+            count = left[act]
+            t1 = total + cost
+            # A fixed point ends the element: every later add is a no-op.
+            count = np.where(t1 == total, 0, count - 1)
+            d = t1 - total
+            _m, e = np.frexp(t1)
+            top = np.ldexp(1.0, e)
+            u = np.ldexp(1.0, e - 53)
+            step_f = np.ldexp(d, 53 - e)
+            jump = ((count > 0) & (t1 > 0.0) & np.isfinite(t1)
+                    & np.isfinite(top)
+                    & ~((2.0 * cost < d) | (2.0 * d < cost))
+                    & (2.0 * np.abs(cost - d) < u)
+                    & (step_f >= 1.0) & (step_f == np.floor(step_f)))
+            if jump.any():
+                j = np.flatnonzero(jump)
+                gap = np.ldexp(top[j] - t1[j], 53 - e[j]).astype(np.int64)
+                k = np.minimum(count[j], gap // step_f[j].astype(np.int64))
+                t1[j] += k * d[j]
+                count[j] -= k
+            out[act] = t1
+            left[act] = count
+    for i in np.flatnonzero(left).tolist():
+        out[i] = repeated_add(float(out[i]), cost, int(left[i]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -149,10 +149,10 @@ class SensorNode:
     def neighbor_table(self) -> Dict[int, NeighborEntry]:
         """A snapshot of the node's row of the neighbor store, keyed by
         neighbor id in ascending order: every entry not yet evicted, as
-        last beaconed (no dead reckoning, no pruning).  The read flushes
-        the beacon kernel first, so external readers (validation
-        checkers, fault tooling) see every beacon delivered up to now,
-        whenever they look.  Writing to it changes nothing."""
+        last beaconed (no dead reckoning, no pruning).  The read settles
+        the row up to now first, so external readers (validation
+        checkers, fault tooling) see every beacon delivered to the node
+        up to now, whenever they look.  Writing to it changes nothing."""
         row = None if self.network is None else self._row()
         return {} if row is None else {e.node_id: e
                                        for e in self._entries(row)}
@@ -177,12 +177,13 @@ class SensorNode:
     # -- neighbor table ------------------------------------------------------
 
     def _table(self) -> Optional["NeighborTable"]:
-        """The network's neighbor table, flushed up to now; ``None`` off
-        a network or before beacons first start."""
+        """The network's neighbor table, with the node's row settled up
+        to now; ``None`` off a network or before beacons first start."""
         net = self.network
         if net is None:
             return None
-        net.flush_beacons()
+        if net._beacon_engine is not None:
+            net._beacon_engine.settle_row(self)
         return net._neighbor_table
 
     def _row(self) -> Optional[Tuple[np.ndarray, ...]]:

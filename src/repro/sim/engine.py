@@ -55,6 +55,9 @@ class Simulator:
         self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_executed = 0
+        #: callables run before every ``events_executed`` read (see
+        #: :meth:`defer_credits`)
+        self._credit_settlers: Tuple[Callable[[], None], ...] = ()
         self._running = False
         self._stop_requested = False
         #: the run's observation channels (see repro.sim.probe)
@@ -160,6 +163,12 @@ class Simulator:
             raise SimulationError("cannot credit a negative event count")
         self._events_executed += n
 
+    def defer_credits(self, settle: Callable[[], None]) -> None:
+        """Register ``settle``, which books any events its subsystem
+        holds back from :meth:`credit_events`; it runs before every read
+        of ``events_executed``, so the count never lags."""
+        self._credit_settlers += (settle,)
+
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
@@ -167,6 +176,8 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
+        for settle in self._credit_settlers:
+            settle()
         return self._events_executed
 
     def peek_next_time(self) -> Optional[float]:

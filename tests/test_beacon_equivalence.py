@@ -25,6 +25,7 @@ from repro.geometry import Rect, Vec2
 from repro.mobility import (GaussMarkovMobility, RandomWalkMobility,
                             RandomWaypointMobility, StaticMobility)
 from repro.net import Network, RadioModel, SensorNode
+import repro.net.beacons as beacons
 from repro.net.beacons import BatchedBeaconEngine, MobilityBank
 from repro.sim import Simulator
 
@@ -233,6 +234,11 @@ def test_equal_under_reads_forgets_resets_and_sweeps(seed):
     """Prune-on-read, forgets, table wipes and the whole-store sweep,
     interleaved mid-interval, leave identical tables and eviction
     counts in both kernels."""
+    compare_reads_forgets_resets_and_sweeps(seed)
+
+
+def compare_reads_forgets_resets_and_sweeps(seed):
+    """The body of the test above, shared with the sparse store's."""
     n = 30
 
     def run(kernel):
@@ -541,39 +547,44 @@ def test_equal_under_churn_with_reads_resets_and_sweeps(seed,
     snapshot; mid-interval reads, table wipes and sweeps force flushes
     at arbitrary times.  Tables, energy and evictions match the
     reference at every boundary."""
-    n = 40
-
-    def run(kernel):
-        sim, net, driver = build_network(kernel, seed, n_nodes=n,
-                                         mobile=True)
-        plan = FaultPlan().extend(poisson_crashes(
-            _rng(seed + 400), range(n), rate=0.3, start=0.2,
-            duration=4.5, downtime_s=0.7))
-        plan.blackout((35.0, 35.0), radius=20.0, at=1.7, duration_s=1.2)
-        driver.start_beacons()
-        driver.start_neighbor_sweep()
-        FaultInjector(sim, net, plan).install()
-        rng = _rng(seed + 500)
-        out = []
-        for boundary in np.arange(0.5, 5.01, 0.5).tolist():
-            sim.run(until=boundary - 0.31)
-            for nid in rng.choice(n, size=6, replace=False).tolist():
-                net.nodes[nid].neighbors()
-            sim.run(until=boundary - 0.17)
-            net.nodes[int(rng.integers(0, n))].reset_neighbors()
-            net.nodes[int(rng.integers(0, n))].neighbors(max_age=0.6)
-            sim.run(until=boundary)
-            out.append((beacon_state(net), net.neighbor_evictions))
-        return out
-
-    reference = run("reference")
+    reference = run_churn("reference", seed)
     assert not whole_flushes
-    batched = run("batched")
+    batched = run_churn("batched", seed)
+    assert_churn_runs_equal(seed, reference, batched)
+    with_dead = sum(1 for all_alive, _ in whole_flushes if not all_alive)
+    assert with_dead >= 20, "churn should keep nodes down at flush start"
+
+
+def run_churn(kernel, seed):
+    """Boundary states and eviction counts of one churn run with
+    mid-interval reads, wipes and sweeps."""
+    n = 40
+    sim, net, driver = build_network(kernel, seed, n_nodes=n, mobile=True)
+    plan = FaultPlan().extend(poisson_crashes(
+        _rng(seed + 400), range(n), rate=0.3, start=0.2,
+        duration=4.5, downtime_s=0.7))
+    plan.blackout((35.0, 35.0), radius=20.0, at=1.7, duration_s=1.2)
+    driver.start_beacons()
+    driver.start_neighbor_sweep()
+    FaultInjector(sim, net, plan).install()
+    rng = _rng(seed + 500)
+    out = []
+    for boundary in np.arange(0.5, 5.01, 0.5).tolist():
+        sim.run(until=boundary - 0.31)
+        for nid in rng.choice(n, size=6, replace=False).tolist():
+            net.nodes[nid].neighbors()
+        sim.run(until=boundary - 0.17)
+        net.nodes[int(rng.integers(0, n))].reset_neighbors()
+        net.nodes[int(rng.integers(0, n))].neighbors(max_age=0.6)
+        sim.run(until=boundary)
+        out.append((beacon_state(net), net.neighbor_evictions))
+    return out
+
+
+def assert_churn_runs_equal(seed, reference, batched):
     for i, ((rs, re), (bs, be)) in enumerate(zip(reference, batched)):
         assert_states_equal(rs, bs, context=f"seed={seed} boundary={i}")
         assert re == be, f"seed={seed} boundary={i}: evictions diverged"
-    with_dead = sum(1 for all_alive, _ in whole_flushes if not all_alive)
-    assert with_dead >= 20, "churn should keep nodes down at flush start"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -700,3 +711,159 @@ def test_positions_many_matches_per_time_calls(seed):
             assert getattr(many, name).tolist() == \
                 getattr(each, name).tolist(), name
         start = float(ts[-1])
+
+
+# -- row-scoped reads --------------------------------------------------------
+
+@pytest.fixture(params=["dense", "sparse"])
+def store(request, monkeypatch):
+    """Run on either neighbor store (the sparse one forced at small N)."""
+    if request.param == "sparse":
+        monkeypatch.setattr(beacons, "_DENSE_MAX", 0)
+    return request.param
+
+
+def whole_field(net, batches):
+    """What a whole-field observer sees; reading ``events_executed``
+    first settles the field up to the latest row read."""
+    return {
+        "events": net.sim.events_executed,
+        "beacons_sent": net.stats.beacons_sent,
+        "beacon_batch": sum(batches),
+        "evictions": net.neighbor_evictions,
+        "accounts": [(nid, a.tx_j, a.rx_j) for nid, a in
+                     net.ledger.accounts("beacon_charge").items()],
+    }
+
+
+def _row(node):
+    return [(e.node_id, e.heard_at, e.position.x, e.position.y, e.speed,
+             e.velocity.x, e.velocity.y) for e in node.neighbors()]
+
+
+def run_row_reads(seed, flush_first):
+    """Reads, wipes, forgets and sweeps under Poisson churn; with
+    ``flush_first`` every read or write of a table flushes the whole
+    field first (what every read did before reads were row-scoped).
+    Returns every read's entries, the whole-field observations between
+    reads, the boundary states, and whether any observation found the
+    field behind the latest read."""
+    n = 40
+    sim, net, _ = build_network("batched", seed, n_nodes=n, mobile=True)
+    batches = []
+    sim.probe.subscribe("beacon_batch", batches.append)
+    plan = FaultPlan().extend(poisson_crashes(
+        _rng(seed + 800), range(n), rate=0.15, start=0.3, duration=3.5,
+        downtime_s=0.6))
+    net.start_beacons()
+    net.start_neighbor_sweep()
+    FaultInjector(sim, net, plan).install()
+    rng = _rng(seed + 900)
+
+    def before():
+        if flush_first:
+            net.flush_beacons()
+
+    reads, seen, states, lagged = [], [], [], []
+    for step in range(1, 41):
+        sim.run(until=0.1 * step - 0.041)
+        for nid in rng.choice(n, size=5, replace=False).tolist():
+            before()
+            reads.append(_row(net.nodes[nid]))
+        sim.run(until=0.1 * step - 0.023)
+        node = net.nodes[int(rng.integers(0, n))]
+        before()
+        if step % 4 == 0:
+            node.reset_neighbors()
+        else:
+            node.forget_neighbor(int(rng.integers(0, n)))
+        before()
+        reads.append(_row(net.nodes[int(rng.integers(0, n))]))
+        if step % 3 == 0:
+            lagged.append(net._beacon_engine._read_t is not None)
+            seen.append(whole_field(net, batches))
+        if step % 5 == 0:
+            sim.run(until=0.1 * step)
+            before()
+            states.append(beacon_state(net))
+    return reads, seen, states, any(lagged)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_reads_match_flushed_reads(store, seed):
+    """A table read settles its own row only; a run whose every read
+    flushes the whole field first must read the same rows, observe the
+    same events, beacon counts, delivery-batch totals, evictions and
+    bitwise beacon accounts between reads, and hold the same state at
+    every boundary, on either store, with nodes crashing and
+    recovering."""
+    rows, seen, states, lagged = run_row_reads(seed, flush_first=False)
+    f_rows, f_seen, f_states, _ = run_row_reads(seed, flush_first=True)
+    assert lagged, "no observation found the field behind a row read"
+    assert rows == f_rows
+    for i, (a, b) in enumerate(zip(seen, f_seen)):
+        for key in a:
+            assert a[key] == b[key], f"{store} seed={seed} obs {i}: {key}"
+    for i, (a, b) in enumerate(zip(states, f_states)):
+        assert_states_equal(b, a, context=f"{store} seed={seed} state {i}")
+
+
+@pytest.mark.parametrize("closer", ["beacon", "beacon_charge", "battery",
+                                    "loss", "grow"])
+def test_gate_closing_after_row_reads(store, closer):
+    """Row reads buffer fires only while the fast gate holds.  When it
+    closes before the next flush (a subscriber arrives, a battery is
+    armed, the channel turns lossy, a node joins), the buffered reads
+    settle first, as the flushes they stand for did: subscribers see
+    only what comes after, and tables and energy match a run whose
+    reads flushed."""
+    def run(flush_first):
+        sim, net, _ = build_network("batched", 4, n_nodes=30, mobile=True)
+        heard = []
+        net.start_beacons()
+        sim.run(until=1.13)
+        for nid in (3, 8, 21):
+            if flush_first:
+                net.flush_beacons()
+            _row(net.nodes[nid])
+        sim.run(until=1.19)
+        if closer in ("beacon", "beacon_charge"):
+            sim.probe.subscribe(closer, lambda *a: heard.append(a))
+        elif closer == "battery":
+            net.enable_batteries(1.0)
+        elif closer == "loss":
+            net.mac.loss_overlay_at = lambda t: 0.2
+        else:
+            net.add_node(SensorNode(30, StaticMobility(Vec2(35.0, 35.0))))
+        sim.run(until=2.0)
+        return beacon_state(net), heard, net.sim.events_executed
+
+    assert run(False) == run(True)
+
+
+def test_row_read_settles_only_its_row(monkeypatch):
+    """On the fast path a read generates and buffers the fires due, but
+    resolves none of them for the field and writes only the reader's
+    row; the other rows catch up when the field settles."""
+    sim, net, _ = build_network("batched", 1, n_nodes=30, mobile=True)
+    net.start_beacons()
+    sim.run(until=1.0)
+    engine = net._beacon_engine
+    resolved = []
+    monkeypatch.setattr(engine, "_resolve_buffer",
+                        lambda: resolved.append(1) or 0)
+    sim.run(until=1.2)
+
+    def others():
+        return [[a.tolist() for a in engine.store.row(i)]
+                for i in range(30) if i != 7]
+
+    before, mine = others(), engine.store.row(7)[1].tolist()
+    _row(net.nodes[7])
+    assert engine._read_t == sim.now and engine._buf_n > 0
+    assert not resolved and others() == before
+    assert engine.store.row(7)[1].tolist() != mine
+    monkeypatch.undo()
+    engine.settle()
+    assert engine._read_t is None and engine._buf_n == 0
+    assert others() != before

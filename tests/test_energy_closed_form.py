@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.net.energy import EnergyLedger, EnergyModel, repeated_add
+from repro.net.energy import (EnergyLedger, EnergyModel, repeated_add,
+                               repeated_add_many)
 
 
 def scalar_reference(total: float, cost: float, count: int) -> float:
@@ -96,6 +97,71 @@ class TestRepeatedAddBitwise:
         for cut in (1, 999, 123_456_789):
             part = repeated_add(0.0, cost, cut)
             assert repeated_add(part, cost, 1_000_000_000 - cut) == full
+
+
+def assert_many_bitwise(totals, cost, counts):
+    """``repeated_add_many`` equals ``repeated_add`` element by element,
+    sign of zero included."""
+    got = repeated_add_many(np.array(totals, dtype=float), cost,
+                            np.array(counts, dtype=np.int64)).tolist()
+    for total, count, g in zip(totals, counts, got):
+        want = repeated_add(float(total), cost, int(count))
+        assert (g == want and math.copysign(1.0, g) ==
+                math.copysign(1.0, want)) or (g != g and want != want), (
+            f"repeated_add_many at ({total!r}, {cost!r}, {count}) = {g!r}"
+            f" != repeated_add {want!r}")
+
+
+class TestRepeatedAddMany:
+    def test_randomized_against_scalar(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            totals = (rng.uniform(0, 10, 40)
+                      * 10.0 ** rng.integers(-12, 3, 40)).tolist()
+            cost = float(rng.uniform(0.1, 10)) * 10.0 ** int(
+                rng.integers(-12, 0))
+            counts = rng.integers(0, 5000, 40).tolist()
+            assert_many_bitwise(totals, cost, counts)
+
+    def test_realistic_beacon_counts(self):
+        model = EnergyModel()
+        rng = np.random.default_rng(5)
+        for cost in (model.tx_cost(96 * 8, 20.0), model.rx_cost(96 * 8)):
+            counts = rng.integers(0, 200_000, 300).tolist()
+            totals = [0.0] * 150 + rng.uniform(0, 1e-3, 150).tolist()
+            assert_many_bitwise(totals, cost, counts)
+
+    def test_rounding_ties(self):
+        for e in (-10, 0, 10):
+            top = math.ldexp(1.0, e)
+            u = math.ldexp(1.0, e - 53)
+            totals = [top - 200 * u, top - 3 * u, top * 0.5]
+            for mult in (0.5, 1.5, 2.5, 0.75, 1.0, 2.0):
+                assert_many_bitwise(totals, mult * u, [700, 65, 3000])
+
+    def test_binade_crossing_steps(self):
+        for e in (-5, 0, 7):
+            top = math.ldexp(1.0, e)
+            u = math.ldexp(1.0, e - 53)
+            for cost in (1.5 * u, 3.0 * u, 0.7 * top, 1.1 * top):
+                assert_many_bitwise([top - 2 * u, top - u, top], cost,
+                                    [50, 500, 70])
+
+    def test_zero_cost_and_zero_counts(self):
+        assert_many_bitwise([5.0, -0.0, -0.0, 1.0], 0.0, [1000, 3, 0, 0])
+        assert_many_bitwise([1.0, -0.0, 2.5], 0.5, [0, 0, -2])
+        assert_many_bitwise([], 0.5, [])
+
+    def test_counts_up_to_64(self):
+        rng = np.random.default_rng(9)
+        totals = rng.uniform(0, 1e-3, 200).tolist()
+        counts = rng.integers(1, 65, 200).tolist()
+        assert_many_bitwise(totals, 3.1e-7, counts)
+
+    def test_odd_inputs_take_the_scalar_path(self):
+        assert_many_bitwise([1e300, math.inf, -3.0, 10.0, math.nan],
+                            1e-20, [10_000, 5, 80, 100, 3])
+        assert_many_bitwise([10.0, 1.0], -1e-3, [50, 70])
 
 
 class TestLedgerCheckpoints:

@@ -23,7 +23,9 @@ import repro.net.beacons as beacons
 from repro.net.neighbor_store import (DenseNeighborStore,
                                       SparseNeighborStore)
 
-from tests.test_beacon_equivalence import beacon_state, build_network
+from tests.test_beacon_equivalence import (
+    assert_churn_runs_equal, beacon_state, build_network,
+    compare_reads_forgets_resets_and_sweeps, run_churn)
 
 
 @pytest.fixture
@@ -327,6 +329,20 @@ class TestEngineSparseEquivalence:
                 sparse_state = state
             else:
                 assert state == sparse_state
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reads_forgets_resets_and_sweeps(self, force_sparse, seed):
+        """The dense differential of prune-on-read, forgets, wipes and
+        sweeps, on the sparse store (row reads settle sparse rows)."""
+        compare_reads_forgets_resets_and_sweeps(seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_churn_with_reads_resets_and_sweeps(self, force_sparse, seed):
+        """The dense churn differential on the sparse store: every fast
+        flush resolves snapshot group by snapshot group, with nodes
+        down."""
+        assert_churn_runs_equal(seed, run_churn("reference", seed),
+                                run_churn("batched", seed))
 
     def test_sweep_evict_equivalent(self, force_sparse):
         def drive(kernel):
