@@ -59,10 +59,9 @@ from .node import SensorNode
 #: jitter draws pre-drawn per refill
 _JIT_BLOCK = 32
 
-#: delivered pairs per store write: a flush applies its due deliveries
-#: in chronological chunks of about this many, so a whole epoch of a
-#: 10k-node field never holds all its pair columns (and the sparse
-#: store's scatter and compaction temporaries for them) at once
+#: delivered pairs per dense-store write: a flush applies its due
+#: deliveries in chronological chunks of about this many (the sparse
+#: store takes each delivery record in one sorted write instead)
 _APPLY_CHUNK = 16384
 
 #: above this many nodes the engine switches to the sparse neighbor
@@ -306,8 +305,10 @@ class BatchedBeaconEngine:
         #             vx, vy)
         #   group:    (t_first, t_deliver[], sender_idx[], pair_rows[],
         #             pair_cols[], bx[], by[], sp[], vx[], vy[]) — the
-        #             fast path; pairs are row-major sorted (rows index
-        #             into the group's fires, cols are receivers).
+        #             fast path; rows index into the group's fires, cols
+        #             are receivers.  Dense records are row-major (fire,
+        #             receiver); sparse ones are in store-key order
+        #             (receiver, sender, fire).
         # entry[0] is always the earliest delivery time in the entry.
         self.pending: List[tuple] = []
         self._next_delivery = math.inf
@@ -462,10 +463,8 @@ class BatchedBeaconEngine:
 
     def _fast(self) -> bool:
         """The fast gate: no battery and no ``beacon_charge`` subscriber
-        (so liveness cannot flip mid-flush and charges need no order), a
-        lossless unshadowed channel (no RNG draws to sequence) and every
-        alive node's beacon-part account already created (so creation
-        order is moot)."""
+        (so liveness cannot flip mid-flush and charges need no order)
+        and a lossless unshadowed channel (no RNG draws to sequence)."""
         net = self.net
         ledger = net.ledger
         radio = net.radio
@@ -473,9 +472,7 @@ class BatchedBeaconEngine:
                 and not ledger.observed("beacon_charge")
                 and radio.shadowing_sigma == 0.0
                 and radio.base_loss_rate == 0.0
-                and net.mac.loss_overlay_at is None
-                and (self._untouched == 0
-                     or bool(self._acct_touched[self.alive_mask].all())))
+                and net.mac.loss_overlay_at is None)
 
     def _row_reads(self) -> bool:
         """Whether a table read may settle its row alone: the fast gate,
@@ -593,28 +590,38 @@ class BatchedBeaconEngine:
         self._snap_full = bool(self.snap_alive.all())
         self.snap_t = t
         if self._large:
-            self._snap_cells = CellBuckets(self.snap_x, self.snap_y,
-                                           self._cell_r)
+            prev = self._snap_cells
+            self._snap_cells = CellBuckets(
+                self.snap_x, self.snap_y, self._cell_r,
+                prev_order=None if prev is None else prev.order)
 
     def _group_pairs(self, g_idx: np.ndarray, spx_g: np.ndarray,
                      spy_g: np.ndarray, thr: float):
         """In-range (fire_row, receiver_col) pairs for one snapshot
-        group, row-major sorted, with snapshot/current-liveness filters
-        and self-hearing excluded.
+        group, rows ascending but unsorted within a row, with
+        snapshot/current-liveness filters and self-hearing excluded.
 
         The cell-bucket candidate set is a superset of every receiver
         within ``sqrt(thr) <= cell size``, and the distance filter below
         applies the same elementwise arithmetic as the dense (B, N)
         row computation — so membership matches it bitwise.
         """
-        prows, pcols = self._snap_cells.pair_candidates(spx_g, spy_g)
-        dx = self.snap_x[pcols] - spx_g[prows]
-        dy = self.snap_y[pcols] - spy_g[prows]
-        sel = dx * dx + dy * dy <= thr
-        sel &= self.snap_alive[pcols]
-        sel &= self.alive_mask[pcols]
-        sel &= pcols != g_idx[prows]
-        return prows[sel], pcols[sel]
+        cells = self._snap_cells
+        prows, slots = cells.candidate_slots(spx_g, spy_g)
+        # dx * dx + dy * dy, computed in place.
+        dx = cells.sorted_xs[slots]
+        dx -= spx_g[prows]
+        dx *= dx
+        dy = cells.sorted_ys[slots]
+        dy -= spy_g[prows]
+        dy *= dy
+        dx += dy
+        near = np.flatnonzero(dx <= thr)
+        prows = prows[near]
+        pcols = cells.order[slots[near]]
+        keep = (self.snap_alive & self.alive_mask)[pcols]
+        keep &= pcols != g_idx[prows]
+        return prows[keep], pcols[keep]
 
     def _walk_groups(self, tf: np.ndarray, st: float, full: bool):
         """Snapshot groups of the live fires ``tf`` (ascending), walked
@@ -730,11 +737,12 @@ class BatchedBeaconEngine:
                         rx_counts: np.ndarray) -> int:
         """The sparse store's fast resolution: each snapshot group folds
         into a handful of array ops over its cell-bucket candidates and
-        leaves one group record; returns the delivery batches made."""
+        leaves one group record, its pairs in store-key order (receiver,
+        then sender, a sender's later fire last); returns the delivery
+        batches made."""
         starts, _st, _full = self._walk_groups(tf, self.snap_t,
                                                self._snap_full)
         spx, spy = kin[0], kin[1]
-        r_sq = self.net.radio.range_m ** 2
         n = len(self.ids)
         n_batches = 0
         bounds = ([0] if not starts or starts[0] else []) + starts
@@ -742,14 +750,22 @@ class BatchedBeaconEngine:
             if starts and a >= starts[0]:
                 self._refresh_snapshot(float(tf[a]))
             g_idx = idx[a:b]
-            prows, pcols = self._group_pairs(g_idx, spx[a:b], spy[a:b], r_sq)
+            prows, pcols = self._group_pairs(g_idx, spx[a:b], spy[a:b],
+                                             self._r_sq)
+            self._touch_new(g_idx, prows, pcols)
+            if not prows.size:
+                continue
             rx_counts += np.bincount(pcols, minlength=n)
-            n_batches += int(np.count_nonzero(
-                np.bincount(prows, minlength=b - a)))
-            if prows.size:
-                tds = tf[a:b] + self.delay
-                self.pending.append((float(tds[0]), tds, g_idx, prows, pcols)
-                                    + tuple(c[a:b] for c in kin))
+            # Candidate rows come out ascending.
+            n_batches += 1 + int(np.count_nonzero(prows[1:] != prows[:-1]))
+            key = pcols * n
+            key += g_idx[prows]
+            key *= b - a
+            key += prows
+            order = key.argsort()
+            tds = tf[a:b] + self.delay
+            self.pending.append((float(tds[0]), tds, g_idx, prows[order],
+                                 pcols[order]) + tuple(c[a:b] for c in kin))
         self._virtual_now = float(tf[-1])
         return n_batches
 
@@ -805,9 +821,12 @@ class BatchedBeaconEngine:
             B = g_end - k
             thr = max_r_sq if shadowing else r_sq
             if self._large:
-                # Cell-bucketed candidates instead of a (B, N) matrix.
+                # Cell-bucketed candidates instead of a (B, N) matrix,
+                # sorted row-major.
                 prows, pcols = self._group_pairs(
                     g_idx, spx[k:g_end], spy[k:g_end], thr)
+                sel = np.argsort(prows * len(self.ids) + pcols)
+                prows, pcols = prows[sel], pcols[sel]
                 row_starts = np.searchsorted(prows, np.arange(B + 1))
                 in_range = None
             else:
@@ -938,6 +957,7 @@ class BatchedBeaconEngine:
         in_range[np.arange(n_live), idx] = False
         # np.nonzero is row-major: pairs sorted by (fire, receiver).
         prows, pcols = np.nonzero(in_range)
+        self._touch_new(idx, prows, pcols)
         rx_counts += np.bincount(pcols, minlength=len(self.ids))
         if prows.size:
             tds = tf + self.delay
@@ -951,12 +971,13 @@ class BatchedBeaconEngine:
         """Bank counted beacon tx/rx charges for deferred materialization.
 
         Repeated addition of one constant is order-independent given the
-        count, and the ``fast`` gate guarantees every involved account
-        already exists — so nothing needs the account objects *now*.
-        Two vector adds bank the counts; :meth:`_energy_probe` (wired as
-        the ledger's ``lazy_source``) converts a row's banked count into
-        the exact repeated-add the eager path would have produced, at the
-        first account touch.
+        count, and every involved account already exists (the sequential
+        loop and :meth:`_touch_new` create them in charge order) — so
+        nothing needs the account objects *now*.  Two vector adds bank
+        the counts; :meth:`_energy_probe` (wired as the ledger's
+        ``lazy_source``) converts a row's banked count into the exact
+        repeated-add the eager path would have produced, at the first
+        account touch.
         """
         model = net.energy_model
         self._def_costs = (model.tx_cost(self.bits, net.radio.range_m),
@@ -971,6 +992,35 @@ class BatchedBeaconEngine:
                                                  "beacon_charge")
         self._acct_touched[i] = True
         self._untouched -= 1
+
+    def _touch_new(self, senders: np.ndarray, prows: np.ndarray,
+                   pcols: np.ndarray) -> None:
+        """Create the beacon-part accounts a batch of resolved fires
+        touches for the first time, in the order the sequential loop
+        charges them: fire by fire, the sender, then its receivers
+        ascending.  ``senders[f]`` is fire ``f``'s sender and ``(prows,
+        pcols)`` its (fire, receiver) pairs, in any order.
+
+        Each node is keyed by its first charge, ``f * (n + 1)`` as the
+        sender of fire ``f`` and ``f * (n + 1) + 1 + col`` as its
+        receiver ``col``, and the new accounts are created in key
+        order."""
+        if not self._untouched:
+            return
+        untouched = ~self._acct_touched
+        f = np.flatnonzero(untouched[senders])
+        p = np.flatnonzero(untouched[pcols])
+        if not (f.size or p.size):
+            return
+        n1 = len(self.ids) + 1
+        never = np.iinfo(np.int64).max
+        first = np.full(n1 - 1, never)
+        np.minimum.at(first, senders[f], f * n1)
+        cols = pcols[p]
+        np.minimum.at(first, cols, prows[p] * n1 + 1 + cols)
+        fresh = np.flatnonzero(first != never)
+        for i in fresh[first[fresh].argsort()].tolist():
+            self._touch_account(i)
 
     def _energy_probe(self, node_id: Optional[int]) -> None:
         """Ledger ``lazy_source`` gateway: settle the field to the latest
@@ -1061,22 +1111,19 @@ class BatchedBeaconEngine:
                 # A group record straddling ``now``: split it at the
                 # boundary.  Delivery delay is constant, so every later
                 # pending entry starts strictly after this one — safe to
-                # stop scanning here.  Pair rows are sorted, so the pair
-                # split point is a searchsorted on the fire cut, and the
-                # tail's rows re-base against its first remaining fire.
-                (_t0, tds, gi, prows, pcols,
-                 gbx, gby, gsp, gvx, gvy) = e
+                # stop scanning here.  A mask keeps each half's pairs in
+                # the record's order, and the tail's rows re-base
+                # against its first remaining fire.
+                tds, gi, prows, pcols, kin = e[1], e[2], e[3], e[4], e[5:]
                 cut = int(np.searchsorted(tds, now, side="right"))
-                pcut = int(np.searchsorted(prows, cut, side="left"))
-                head = (e[0], tds[:cut], gi[:cut],
-                        prows[:pcut], pcols[:pcut],
-                        gbx[:cut], gby[:cut], gsp[:cut],
-                        gvx[:cut], gvy[:cut])
-                straddler = (float(tds[cut]), tds[cut:], gi[cut:],
-                             prows[pcut:] - cut, pcols[pcut:],
-                             gbx[cut:], gby[cut:], gsp[cut:],
-                             gvx[cut:], gvy[cut:])
-                self.pending[split] = head
+                head = prows < cut
+                tail = ~head
+                self.pending[split] = ((e[0], tds[:cut], gi[:cut],
+                                        prows[head], pcols[head])
+                                       + tuple(c[:cut] for c in kin))
+                straddler = ((float(tds[cut]), tds[cut:], gi[cut:],
+                              prows[tail] - cut, pcols[tail])
+                             + tuple(c[cut:] for c in kin))
                 split += 1
                 break
             split += 1
@@ -1089,16 +1136,17 @@ class BatchedBeaconEngine:
         hooks = self.net.sim.probe.beacon if tell_pairs else ()
         batch_hooks = self.net.sim.probe.beacon_batch
         n_delivered = 0
-        # Senders' fires, and delivered (receiver, sender, t, bx, by, sp,
-        # vx, vy) columns, since the last write.
+        # The sparse store takes each record in one sorted write; the
+        # dense store takes chunks of the senders' fires and delivered
+        # (receiver, sender, t, bx, by, sp, vx, vy) columns.
         fires: List[np.ndarray] = []
         parts: List[tuple] = []
         n_parts = 0
         for entry in due:
             if isinstance(entry[1], np.ndarray):
-                (_td0, tds, gi, g_rows, g_cols,
-                 gbx, gby, gsp, gvx, gvy) = entry
-                fires.append(gi)
+                tds, gi, g_rows, g_cols, kin = (entry[1], entry[2],
+                                                entry[3], entry[4],
+                                                entry[5:])
                 if has_transitions:
                     if g_rows.size:
                         keep = self._alive_at_bulk(g_cols, tds[g_rows])
@@ -1109,22 +1157,16 @@ class BatchedBeaconEngine:
                 if g_rows.size == 0:
                     continue
                 if hooks:
-                    # Pair order is row-major == chronological fires,
-                    # receivers ascending per fire.
-                    # Bulk tolist() gathers yield the same Python
-                    # ints/floats the per-pair conversions did.
-                    rids = self.ids[g_cols].tolist()
-                    srcs = self.ids[gi[g_rows]].tolist()
-                    t_ds = tds[g_rows].tolist()
-                    for rid, src, t_d in zip(rids, srcs, t_ds):
-                        for hook in hooks:
-                            hook(rid, src, t_d)
-                parts.append((g_cols, gi[g_rows], tds[g_rows], gbx[g_rows],
-                              gby[g_rows], gsp[g_rows], gvx[g_rows],
-                              gvy[g_rows]))
+                    self._tell(hooks, tds, gi, g_rows, g_cols)
+                n_delivered += int(g_rows.size)
+                if self._large:
+                    self._write_group(tds, gi, g_rows, g_cols, kin)
+                    continue
+                fires.append(gi)
+                parts.append((g_cols, gi[g_rows], tds[g_rows])
+                             + tuple(c[g_rows] for c in kin))
             else:
                 (td, s_i, surv, bx, by, sp, vx, vy) = entry
-                fires.append(np.array([s_i], dtype=np.int64))
                 if has_transitions:
                     surv = surv[self._alive_at_bulk(
                         surv, np.full(surv.size, td))]
@@ -1139,12 +1181,20 @@ class BatchedBeaconEngine:
                         for hook in hooks:
                             hook(rid, src, td)
                 m = surv.size
+                n_delivered += m
+                if self._large:
+                    # A one-fire group record: receivers ascending are
+                    # its store keys ascending.
+                    self._write_group(
+                        np.array([td]), np.array([s_i]),
+                        np.zeros(m, dtype=np.intp), surv,
+                        tuple(np.array([v]) for v in (bx, by, sp, vx, vy)))
+                    continue
+                fires.append(np.array([s_i], dtype=np.int64))
                 parts.append((surv, np.full(m, s_i, dtype=np.int64))
                              + tuple(np.full(m, v)
                                      for v in (td, bx, by, sp, vx, vy)))
-            m = int(parts[-1][0].size)
-            n_delivered += m
-            n_parts += m
+            n_parts += int(parts[-1][0].size)
             if n_parts >= _APPLY_CHUNK:
                 self._write_deliveries(fires, parts)
                 fires, parts, n_parts = [], [], 0
@@ -1158,10 +1208,54 @@ class BatchedBeaconEngine:
             self._transitions = [tr for tr in self._transitions
                                  if tr[0] > t_min]
 
+    def _tell(self, hooks, tds: np.ndarray, gi: np.ndarray,
+              rows: np.ndarray, cols: np.ndarray) -> None:
+        """Tell ``beacon`` subscribers of a group record's delivered
+        pairs fire by fire, receivers ascending, as one event per frame
+        would."""
+        if self._large:
+            # Key-ordered records: back to (fire, receiver) order.
+            order = np.argsort(rows * len(self.ids) + cols)
+            rows, cols = rows[order], cols[order]
+        # Bulk tolist() gathers yield the same Python ints/floats the
+        # per-pair conversions did.
+        rids = self.ids[cols].tolist()
+        srcs = self.ids[gi[rows]].tolist()
+        t_ds = tds[rows].tolist()
+        for rid, src, t_d in zip(rids, srcs, t_ds):
+            for hook in hooks:
+                hook(rid, src, t_d)
+
+    def _write_group(self, tds: np.ndarray, gi: np.ndarray, rows: np.ndarray,
+                     cols: np.ndarray, kin: tuple) -> None:
+        """Write one key-ordered group record's delivered pairs straight
+        into the sparse store: one in-place update, the latest delivery
+        of each (receiver, sender) pair winning, and a row's deliveries
+        at or before its settled time skipped.  Records are written in
+        chronological order, so a later record's cell overwrites an
+        earlier one's."""
+        if self._read_t is not None:
+            keep = tds[rows] > self._settled[cols]
+            if not keep.all():
+                rows, cols = rows[keep], cols[keep]
+        # The store's own width: a node added since the record was made
+        # has widened it already.
+        keys = cols * self.store.n
+        keys += gi[rows]
+        if keys.size > 1:
+            # A sender's fires sort by fire within its key: keep the
+            # last of each run.
+            last = keys[1:] != keys[:-1]
+            if not last.all():
+                last = np.append(last, True)
+                keys, rows = keys[last], rows[last]
+        fire_pay = np.column_stack((tds,) + tuple(kin))
+        self.store.write_sorted(keys, fire_pay[rows])
+
     def _write_deliveries(self, fires: List[np.ndarray],
                           parts: List[tuple]) -> None:
-        """Scatter chronological delivery columns into the store: the
-        latest delivery of each (receiver, sender) pair wins, and a
+        """Scatter chronological delivery columns into the dense store:
+        the latest delivery of each (receiver, sender) pair wins, and a
         row's deliveries at or before its settled time are skipped.
 
         Writes in chronological chunks leave what one write would: a
@@ -1246,7 +1340,8 @@ class BatchedBeaconEngine:
         self._settled[r] = now
         if not self.alive_mask[r]:
             return
-        # (sender, t_deliver, bx, by, sp, vx, vy) columns, chronological.
+        # (sender, t_deliver, bx, by, sp, vx, vy) columns, chronological
+        # per sender.
         parts: List[tuple] = []
         for e in self.pending:
             if e[0] > now:
@@ -1255,7 +1350,13 @@ class BatchedBeaconEngine:
                 tds, gi, prows, pcols = e[1], e[2], e[3], e[4]
                 if tds[-1] <= lo:
                     continue  # applied by an earlier read of the row
-                rows = prows[pcols == r]
+                if self._large:
+                    # Key-ordered: the row's pairs are one slice, by
+                    # sender, a sender's fires in order.
+                    a, z = pcols.searchsorted((r, r + 1))
+                    rows = prows[a:z]
+                else:
+                    rows = prows[pcols == r]
                 t = tds[rows]
                 rows = rows[(t > lo) & (t <= now)]
                 if rows.size:
@@ -1302,8 +1403,8 @@ class BatchedBeaconEngine:
                 for c in zip(*parts)]
         if cols[0].size > 1:
             # Keep each sender's latest delivery (the arrays are
-            # chronological, and the stable sort keeps them so per
-            # sender).
+            # chronological per sender, and the stable sort keeps them
+            # so).
             order = cols[0].argsort(kind="stable")
             s = cols[0][order]
             dup = s[1:] == s[:-1]

@@ -11,14 +11,17 @@ Two interchangeable store representations:
 
 * :class:`SparseNeighborStore` — a sorted base of cells keyed by the
   composite int64 key ``row * n + col``, plus a write-ordered tail of
-  cells the base does not hold yet.  A scatter of P pairs sorts their
-  keys once and looks them up in the base with one ``searchsorted``:
-  cells already there (nearly every beacon refresh) are overwritten in
-  place, and only new cells are appended to the tail.  Once the tail
+  cells the base does not hold yet.  A write of P pairs takes their keys
+  ascending (:meth:`~SparseNeighborStore.write_sorted`; ``scatter``
+  sorts them first) and looks them up in the base with one
+  ``searchsorted``: cells already there are overwritten in place, and
+  the rest are appended to the tail.  Once the tail
   holds more than ``compact_limit`` writes, compaction de-duplicates it
   (keep-last) and merges it into the base at ``searchsorted`` insertion
   points, O(base + tail) with no re-sort.  Reads slice the base by key
-  range and scan the tail.  Row wipes are sequence-number watermarks,
+  range, and the tail through a row index that a read builds once the
+  writes since the last one outgrow ``_TAIL_SCAN``; only those later
+  writes are scanned.  Row wipes are sequence-number watermarks,
   cell clears are ``-inf`` tombstones; both are dropped at compaction.
   Per beacon epoch the cost is O(P log base) for the lookups plus the
   new cells' share of a merge, not a rewrite of the table; memory is
@@ -126,6 +129,9 @@ def _last_writes(keys: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(order, starts)
 
 
+#: tail writes a row read scans before it re-indexes the tail by row
+_TAIL_SCAN = 4096
+
 #: one payload record (a row of a (k, 6) float64 array) as an opaque
 #: 48-byte item: fancy indexing moves whole records in one copy each
 _RECORD = np.dtype((np.void, 8 * len(_PAYLOAD)))
@@ -155,13 +161,19 @@ class SparseNeighborStore:
         self._seq = np.empty(0, dtype=np.int64)
         self._pay = np.empty((0, len(_PAYLOAD)))
         # Tail: writes to cells not in the base, oldest first, in
-        # growable (rows, cols, pay, seqs) buffers whose first
-        # _tail_pairs entries are in use.
+        # growable (keys, pay, seqs) buffers whose first _tail_pairs
+        # entries are in use.
         self._tail = [np.empty(0, dtype=np.int64),
-                      np.empty(0, dtype=np.int64),
                       np.empty((0, len(_PAYLOAD))),
                       np.empty(0, dtype=np.int64)]
         self._tail_pairs = 0
+        # Row index of the tail's first _tix_n writes (built by a read,
+        # dropped when the tail empties or its keys change): their
+        # positions sorted by (key, position), and the keys in that
+        # order.
+        self._drop_tail_index()
+        # One sequence number per write call: resets compare against
+        # call order, never against the order within one call.
         self._next_seq = 0
         # reset_row(r) invalidates all writes to r before this watermark
         self._reset_seq = np.zeros(n, dtype=np.int64)
@@ -170,6 +182,9 @@ class SparseNeighborStore:
     def grow(self) -> None:
         # r * n + c becomes r * (n + 1) + c; the key order is unchanged.
         self._key = self._key + self._key // self.n
+        keys = self._tail[0][:self._tail_pairs]
+        keys += keys // self.n
+        self._drop_tail_index()
         self.n += 1
         self._reset_seq = np.append(self._reset_seq, 0)
 
@@ -178,37 +193,40 @@ class SparseNeighborStore:
     def scatter(self, rows: np.ndarray, cols: np.ndarray, t: np.ndarray,
                 bx: np.ndarray, by: np.ndarray, sp: np.ndarray,
                 vx: np.ndarray, vy: np.ndarray) -> None:
-        """Bulk cell update; (rows, cols) pairs must be unique.  Cells
-        already in the base are overwritten in place; the rest go to
-        the tail."""
-        m = int(rows.size)
-        if m == 0:
+        """Bulk cell update; (rows, cols) pairs must be unique."""
+        if rows.size == 0:
             return
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        seq0 = self._next_seq
-        self._next_seq += m
+        keys = (np.asarray(rows, dtype=np.int64) * self.n
+                + np.asarray(cols, dtype=np.int64))
+        # Keys are unique, so an unstable sort is a total order.
+        order = np.argsort(keys)
         pay = np.column_stack((t, bx, by, sp, vx, vy))
+        self.write_sorted(keys[order], pay[order])
+
+    def write_sorted(self, keys: np.ndarray, pay: np.ndarray) -> None:
+        """Bulk cell update from unique, ascending keys ``row * n + col``
+        and their C-contiguous (m, 6) payload.  Cells already in the base
+        are overwritten in place, found by one lookup of the ascending
+        keys, which walks the base front to back; the rest go to the
+        tail."""
+        if keys.size == 0:
+            return
+        seq = self._next_seq
+        self._next_seq += 1
         base = self._key
         if base.size:
-            # Keys are unique, so an unstable sort is a total order, and
-            # sorted lookups walk the base front to back.
-            keys = rows * self.n + cols
-            order = np.argsort(keys)
-            keys = keys[order]
-            pos = np.searchsorted(base, keys)
+            pos = base.searchsorted(keys)
             hit = base[np.minimum(pos, base.size - 1)] == keys
-            new = order[~hit]
-            order, pos = order[hit], pos[hit]
-            _records(self._pay)[pos] = _records(pay)[order]
-            self._seq[pos] = seq0 + order
-            if not new.size:
+            if hit.all():
+                _records(self._pay)[pos] = _records(pay)
+                self._seq[pos] = seq
                 return
-            rows, cols, pay = rows[new], cols[new], pay[new]
-            seqs = seq0 + new
-        else:
-            seqs = np.arange(seq0, seq0 + m, dtype=np.int64)
-        self._append_tail(rows, cols, pay, seqs)
+            new = ~hit
+            pos = pos[hit]
+            _records(self._pay)[pos] = _records(pay)[hit]
+            self._seq[pos] = seq
+            keys, pay = keys[new], pay[new]
+        self._append_tail(keys, pay, np.full(keys.size, seq, dtype=np.int64))
         if self._tail_pairs > self._compact_limit:
             self.compact()
 
@@ -258,13 +276,14 @@ class SparseNeighborStore:
         used = self._tail_pairs
         if not used:
             return
-        rows, cols, pay, seqs = (b[:used] for b in self._tail)
+        keys, pay, seqs = (b[:used] for b in self._tail)
         self._tail_pairs = 0
+        self._drop_tail_index()
         n = self.n
-        last = _last_writes(rows * n + cols)
-        last = last[self._live(rows[last], seqs[last], pay[last])]
-        t_key = rows[last] * n + cols[last]
-        t_seq, t_pay = seqs[last], pay[last]
+        last = _last_writes(keys)
+        t_key, t_seq, t_pay = keys[last], seqs[last], pay[last]
+        live = self._live(t_key // n, t_seq, t_pay)
+        t_key, t_seq, t_pay = t_key[live], t_seq[live], t_pay[live]
         key, seq, bpay = self._key, self._seq, _records(self._pay)
         live = self._live(key // n, seq, self._pay)
         if not live.all():
@@ -289,22 +308,49 @@ class SparseNeighborStore:
         """(cols, t, bx, by, sp, vx, vy) of row ``r``'s live cells, cols
         ascending: the base slice merged keep-last with the row's tail
         writes."""
-        lo, hi = np.searchsorted(self._key, (r * self.n, (r + 1) * self.n))
+        k0, k1 = r * self.n, (r + 1) * self.n
+        lo, hi = np.searchsorted(self._key, (k0, k1))
         live = self._live(r, self._seq[lo:hi], self._pay[lo:hi])
-        cols = self._key[lo:hi][live] - r * self.n
+        cols = self._key[lo:hi][live] - k0
         pay = self._pay[lo:hi][live]
-        t_rows, t_cols, t_pay, t_seq = self._tail
-        sel = np.flatnonzero(t_rows[:self._tail_pairs] == r)
+        sel = self._tail_writes(k0, k1)
         if sel.size:
-            t_cols, t_pay, t_seq = t_cols[sel], t_pay[sel], t_seq[sel]
-            last = _last_writes(t_cols)
+            t_key, t_pay, t_seq = (b[sel] for b in self._tail)
+            last = _last_writes(t_key)
             last = last[self._live(r, t_seq[last], t_pay[last])]
             # Base and tail cells are disjoint: one unique-key sort.
-            cols = np.concatenate((cols, t_cols[last]))
+            cols = np.concatenate((cols, t_key[last] - k0))
             pay = np.concatenate((pay, t_pay[last]))
             order = np.argsort(cols)
             cols, pay = cols[order], pay[order]
         return (cols,) + tuple(pay.T)
+
+    def _tail_writes(self, k0: int, k1: int) -> np.ndarray:
+        """Positions of the tail writes with keys in [k0, k1), oldest
+        first per key: a slice of the row index, then a scan of the
+        writes appended since it was built.  The index is rebuilt once
+        that suffix outgrows ``_TAIL_SCAN``, so a read scans at most
+        that many writes however long the tail is."""
+        used = self._tail_pairs
+        keys = self._tail[0]
+        if used - self._tix_n > _TAIL_SCAN:
+            # The tail is a run of ascending write calls: the stable
+            # sort merges those runs.
+            self._tix_pos = np.argsort(keys[:used], kind="stable")
+            self._tix_key = keys[self._tix_pos]
+            self._tix_n = used
+        suffix = keys[self._tix_n:used]
+        fresh = np.flatnonzero((suffix >= k0) & (suffix < k1))
+        fresh += self._tix_n
+        if not self._tix_n:
+            return fresh
+        lo, hi = self._tix_key.searchsorted((k0, k1))
+        return np.concatenate((self._tix_pos[lo:hi], fresh))
+
+    def _drop_tail_index(self) -> None:
+        self._tix_n = 0
+        self._tix_pos = np.empty(0, dtype=np.intp)
+        self._tix_key = np.empty(0, dtype=np.int64)
 
     def evict_stale(self, alive_mask: np.ndarray, now: float,
                     timeout: float) -> int:

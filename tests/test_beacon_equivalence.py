@@ -867,3 +867,81 @@ def test_row_read_settles_only_its_row(monkeypatch):
     engine.settle()
     assert engine._read_t is None and engine._buf_n == 0
     assert others() != before
+
+
+# -- delivery order and first charges ----------------------------------------
+
+def run_heard(kernel, seed):
+    """Every ``(receiver, sender, t)`` a ``beacon`` subscriber is told,
+    in order, over a mobile field with Poisson crashes and recoveries,
+    mid-interval reads and a table wipe."""
+    n = 40
+    sim, net, driver = build_network(kernel, seed, n_nodes=n, mobile=True)
+    heard = []
+    sim.probe.subscribe("beacon", lambda *pair: heard.append(pair))
+    plan = FaultPlan().extend(poisson_crashes(
+        _rng(seed + 1000), range(n), rate=0.2, start=0.2, duration=3.0,
+        downtime_s=0.5))
+    driver.start_beacons()
+    FaultInjector(sim, net, plan).install()
+    rng = _rng(seed + 1100)
+    for step in range(1, 8):
+        sim.run(until=0.5 * step - 0.21)
+        for nid in rng.choice(n, size=4, replace=False).tolist():
+            net.nodes[nid].neighbors()
+        net.nodes[int(rng.integers(0, n))].reset_neighbors()
+    sim.run(until=4.0)
+    return heard
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_beacon_subscribers_hear_fire_by_fire(seed, monkeypatch):
+    """A ``beacon`` subscriber is told of deliveries fire by fire,
+    receivers ascending, as one event per delivered frame would tell
+    it: on the dense store, on the sparse store (whose group records
+    are in store-key order) and in the reference model alike."""
+    reference = run_heard("reference", seed)
+    dense = run_heard("batched", seed)
+    monkeypatch.setattr(beacons, "_DENSE_MAX", 0)
+    sparse = run_heard("batched", seed)
+    assert reference, "nothing was delivered"
+    assert dense == reference
+    assert sparse == reference
+
+
+def first_epoch_accounts(seed, sequential):
+    """Beacon-part accounts after the first flushes of a field with dead
+    and muted nodes: ids in creation order, each account's energy, and
+    the part's total.  ``sequential`` forces the sequential loop with a
+    ``beacon_charge`` subscriber."""
+    n = 40
+    sim, net, _ = build_network("batched", seed, n_nodes=n, mobile=True)
+    rng = _rng(seed + 1200)
+    for nid in rng.choice(n, size=5, replace=False).tolist():
+        net.nodes[nid].alive = False
+    net.mute_beacons(rng.choice(n, size=4, replace=False).tolist())
+    if sequential:
+        sim.probe.subscribe("beacon_charge", lambda *charge: None)
+    net.start_beacons()
+    sim.run(until=0.26)
+    net.nodes[int(rng.integers(0, n))].neighbors()
+    sim.run(until=1.2)
+    ledger = net.ledger
+    accounts = ledger.accounts("beacon_charge")
+    return ([(nid, a.tx_j, a.rx_j) for nid, a in accounts.items()],
+            ledger.total_j("beacon_charge"))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_flush_creates_accounts_in_charge_order(store, seed):
+    """Warm-up's first flushes take the fast path and create the
+    beacon-part accounts themselves: in the order the sequential loop
+    charges them (fire by fire, the sender, then its receivers
+    ascending), so the part's account order and its float total are
+    bitwise those of a run forced down that loop."""
+    fast, total = first_epoch_accounts(seed, sequential=False)
+    slow, slow_total = first_epoch_accounts(seed, sequential=True)
+    assert [a[0] for a in fast] != sorted(a[0] for a in fast), \
+        "creation order should not be id order"
+    assert fast == slow
+    assert total == slow_total

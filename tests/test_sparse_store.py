@@ -20,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.net.beacons as beacons
+import repro.net.neighbor_store as neighbor_store
 from repro.net.neighbor_store import (DenseNeighborStore,
-                                      SparseNeighborStore)
+                                      SparseNeighborStore, _last_writes)
 
 from tests.test_beacon_equivalence import (
     assert_churn_runs_equal, beacon_state, build_network,
@@ -104,14 +105,55 @@ def _apply(op, step, t, stores):
     elif kind == "grow":
         for store in stores:
             store.grow()
-    else:  # only the sparse store compacts
-        stores[1].compact()
+    else:  # only the sparse stores compact
+        for store in stores[1:]:
+            store.compact()
     return None
 
 
 def _assert_same_tables(dense, sparse, t):
     assert dense.n == sparse.n
     _assert_rows_equal(dense, sparse, dense.n)
+
+
+class SortedWrites(SparseNeighborStore):
+    """A sparse store fed only through :meth:`write_sorted`: every bulk
+    write (cell updates and tombstones included) sorts its keys here and
+    hands them over ascending."""
+
+    def scatter(self, rows, cols, t, bx, by, sp, vx, vy):
+        keys = (np.asarray(rows, dtype=np.int64) * self.n
+                + np.asarray(cols, dtype=np.int64))
+        order = np.argsort(keys, kind="stable")
+        self.write_sorted(keys[order],
+                          np.column_stack((t, bx, by, sp, vx, vy))[order])
+
+
+def scanned_row(store, r):
+    """Row ``r`` read by scanning the store's whole tail, as the store
+    read rows before it indexed the tail."""
+    n = store.n
+    lo, hi = np.searchsorted(store._key, (r * n, (r + 1) * n))
+    live = store._live(r, store._seq[lo:hi], store._pay[lo:hi])
+    cols = store._key[lo:hi][live] - r * n
+    pay = store._pay[lo:hi][live]
+    t_key, t_pay, t_seq = (b[:store._tail_pairs] for b in store._tail)
+    sel = np.flatnonzero(t_key // n == r)
+    if sel.size:
+        t_key, t_pay, t_seq = t_key[sel], t_pay[sel], t_seq[sel]
+        last = _last_writes(t_key)
+        last = last[store._live(r, t_seq[last], t_pay[last])]
+        cols = np.concatenate((cols, t_key[last] - r * n))
+        pay = np.concatenate((pay, t_pay[last]))
+        order = np.argsort(cols)
+        cols, pay = cols[order], pay[order]
+    return (cols,) + tuple(pay.T)
+
+
+def _assert_rows_as_scanned(store):
+    for r in range(store.n):
+        for a, b in zip(scanned_row(store, r), store.row(r)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStoreDifferential:
@@ -200,53 +242,103 @@ class TestStoreDifferential:
         assert sparse.cells <= n + 500
 
     @given(limit=st.sampled_from([1, 7, 100_000]),
+           scan=st.sampled_from([0, 2, 4096]),
            ops=st.lists(_store_op, max_size=40))
     @settings(max_examples=150, deadline=None)
     # the same cells rewritten across chunks, then folded
-    @example(limit=7, ops=[("scatter", [(0, 1), (1, 2)]),
-                           ("scatter", [(0, 1), (2, 3)]),
-                           ("update", 0, 1), ("compact",),
-                           ("scatter", [(0, 1), (1, 2)])])
+    @example(limit=7, scan=2,
+             ops=[("scatter", [(0, 1), (1, 2)]),
+                  ("scatter", [(0, 1), (2, 3)]),
+                  ("update", 0, 1), ("compact",),
+                  ("scatter", [(0, 1), (1, 2)])])
     # a row reset and rewritten, before and after a compaction
-    @example(limit=100_000, ops=[("scatter", [(1, 0), (1, 2), (2, 1)]),
-                                 ("reset", 1), ("update", 1, 3),
-                                 ("compact",), ("update", 1, 0),
-                                 ("reset", 1), ("scatter", [(1, 2)]),
-                                 ("compact",)])
+    @example(limit=100_000, scan=2,
+             ops=[("scatter", [(1, 0), (1, 2), (2, 1)]),
+                  ("reset", 1), ("update", 1, 3),
+                  ("compact",), ("update", 1, 0),
+                  ("reset", 1), ("scatter", [(1, 2)]),
+                  ("compact",)])
     # tombstones in base and tail: folded by a compaction, overwritten,
     # or still pending
-    @example(limit=100_000, ops=[("scatter", [(0, 1), (0, 2), (3, 1)]),
-                                 ("compact",), ("clear", 0, 1),
-                                 ("clear", 2, 2), ("drop", 3, [1, 1]),
-                                 ("update", 3, 1), ("compact",),
-                                 ("clear", 0, 2)])
+    @example(limit=100_000, scan=2,
+             ops=[("scatter", [(0, 1), (0, 2), (3, 1)]),
+                  ("compact",), ("clear", 0, 1),
+                  ("clear", 2, 2), ("drop", 3, [1, 1]),
+                  ("update", 3, 1), ("compact",),
+                  ("clear", 0, 2)])
     # growth rescales the composite key between base and tail writes
-    @example(limit=7, ops=[("scatter", [(3, 2), (2, 3), (1, 1)]),
-                           ("compact",), ("grow",), ("update", 4, 3),
-                           ("scatter", [(3, 4), (3, 2)]), ("grow",),
-                           ("compact",), ("clear", 5, 4)])
+    @example(limit=7, scan=2,
+             ops=[("scatter", [(3, 2), (2, 3), (1, 1)]),
+                  ("compact",), ("grow",), ("update", 4, 3),
+                  ("scatter", [(3, 4), (3, 2)]), ("grow",),
+                  ("compact",), ("clear", 5, 4)])
     # stale sweeps drop cells heard long enough ago
-    @example(limit=1, ops=[("scatter", [(0, 1), (0, 2)])]
+    @example(limit=1, scan=2,
+             ops=[("scatter", [(0, 1), (0, 2)])]
              + [("update", 1, 0)] * 6 + [("sweep", 0), ("update", 0, 2)])
     # whole-store eviction skips dead rows, tombstones and reset rows,
     # and counts only what it drops
-    @example(limit=100_000, ops=[("scatter", [(0, 1), (0, 2), (1, 0),
-                                              (2, 3)]),
-                                 ("compact",), ("clear", 0, 2), ("reset", 2)]
+    @example(limit=100_000, scan=2,
+             ops=[("scatter", [(0, 1), (0, 2), (1, 0), (2, 3)]),
+                  ("compact",), ("clear", 0, 2), ("reset", 2)]
              + [("update", 3, 0)] * 6
              + [("evict", [True, False, True, True] * 2),
                 ("update", 0, 1), ("evict", [True] * 8)])
-    def test_property_matches_dense(self, limit, ops):
-        """Every row agrees after every op of an interleaved sequence."""
+    def test_property_matches_dense(self, limit, scan, ops):
+        """Every row agrees after every op of an interleaved sequence,
+        whether the sparse store is written by ``scatter`` or through
+        ``write_sorted``, and each sparse row read (tail index and
+        unindexed suffix, rebuilt every ``scan`` tail writes) equals a
+        scan of the whole tail."""
         n = 4
+        stores = (DenseNeighborStore(n),
+                  SparseNeighborStore(n, compact_limit=limit),
+                  SortedWrites(n, compact_limit=limit))
+        saved = neighbor_store._TAIL_SCAN
+        neighbor_store._TAIL_SCAN = scan
+        try:
+            for step, op in enumerate(ops):
+                t = 0.25 * (step + 1)
+                reported = _apply(op, step, t, stores)
+                if reported is not None:
+                    for other in reported[1:]:
+                        np.testing.assert_array_equal(reported[0], other)
+                for sparse in stores[1:]:
+                    _assert_rows_as_scanned(sparse)
+                    _assert_same_tables(stores[0], sparse, t)
+        finally:
+            neighbor_store._TAIL_SCAN = saved
+
+    def test_sorted_writes_hit_miss_and_compact_inside(self):
+        """One sorted write overwrites the cells the base holds, sends
+        the rest to the tail, honours a row reset and a tombstone, and
+        compacts inside the write once the tail passes its limit."""
+        n = 6
         dense = DenseNeighborStore(n)
-        sparse = SparseNeighborStore(n, compact_limit=limit)
-        for step, op in enumerate(ops):
-            t = 0.25 * (step + 1)
-            reported = _apply(op, step, t, (dense, sparse))
-            if reported is not None:
-                np.testing.assert_array_equal(*reported)
-            _assert_same_tables(dense, sparse, t)
+        sparse = SortedWrites(n, compact_limit=4)
+        one = np.ones(3)
+        for store in (dense, sparse):
+            store.scatter(np.array([0, 1, 2]), np.array([1, 2, 3]), one,
+                          one, one, one, one, one)
+        sparse.compact()
+        assert sparse._tail_pairs == 0 and sparse.cells == 3
+        for store in (dense, sparse):
+            store.reset_row(2)
+            store.clear_cell(1, 2)
+            # two hits (one of them reset), two misses, one tombstone
+            keys = np.array([0 * n + 1, 0 * n + 4, 2 * n + 3, 3 * n + 0,
+                             5 * n + 5])
+            pay = np.column_stack((np.array([2.0, 2.0, 2.0, 2.0, -np.inf]),)
+                                  + (np.full(5, 7.0),) * 5)
+            store.scatter(keys // n, keys % n, *pay.T)
+        assert sparse._tail_pairs == 3       # the clear and the misses
+        _assert_rows_equal(dense, sparse, n)
+        for store in (dense, sparse):
+            store.scatter(np.array([4, 4]), np.array([0, 1]),
+                          np.full(2, 3.0), *([np.ones(2)] * 5))
+        assert sparse._tail_pairs == 0       # compacted inside the write
+        _assert_rows_equal(dense, sparse, n)
+        _assert_rows_as_scanned(sparse)
 
     def test_compaction_bounds_cells(self):
         """Folded tombstones and reset rows leave the base."""
