@@ -11,6 +11,16 @@ pairwise-distance filter against a lazily refreshed position snapshot,
 and neighbor-table updates plus beacon-energy accounting are applied in
 bulk.
 
+Every flush resolves through the same vectorized code: on the dense
+store one pass over the flush, on the sparse store one pass per
+snapshot group.  The channel and the energy rules are inputs to it
+(:class:`_Rules`, decided once per flush): shadowing holds each pair to
+its own link range, loss draws one uniform per pair in (fire, receiver)
+order, a battery or a ``beacon_charge`` subscriber has the ledger
+charged fire by fire instead of banking counts, and an armed battery,
+whose charges can kill nodes mid-flush, resolves the fires one at a
+time.
+
 Equivalence contract (proven executable in
 ``tests/test_beacon_equivalence.py`` against the per-event reference
 model in ``tests/beacon_reference.py``): at every interval boundary the
@@ -23,12 +33,12 @@ is a pure function of (state, time): any observer that reads
 mid-interval state first forces a flush, and the flush result does not
 depend on what triggered it.
 
-A node's table read needs only its own row, so on the fast path (no
-battery, no per-charge or per-beacon subscriber, lossless unshadowed
-channel) it settles that row alone: fires due by then are generated and
-buffered unresolved, range-tested against the reader only, and the row
-keeps a "settled through" watermark that the next whole-field flush
-honours, so each pair is applied once.  Whole-field observations
+A node's table read needs only its own row, so while a flush would have
+no rules and no ``beacon`` subscriber listens, it settles that row
+alone: fires due by then are generated and buffered unresolved,
+range-tested against the reader only, and the row keeps a "settled
+through" watermark that the next whole-field flush honours, so each
+pair is applied once.  Whole-field observations
 (``events_executed``, deferred beacon energy) first :meth:`settle
 <BatchedBeaconEngine.settle>` the field to the latest read, which is
 the state a whole-field flush at that read would have left.
@@ -47,11 +57,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from ..geometry import CellBuckets, Vec2
+from ..geometry import CellBuckets
 from .energy import EnergyAccount, repeated_add, repeated_add_many
 from .neighbor_store import NeighborTable, SparseNeighborStore
 from .node import SensorNode
@@ -71,6 +81,20 @@ _DENSE_MAX = 1024
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .network import Network
+
+
+class _Rules(NamedTuple):
+    """The channel and energy rules a flush resolves its fires under."""
+
+    #: draw per-receiver loss (a base loss rate or a fault overlay)
+    lossy: bool
+    #: filter each pair by its own link range (shadowing)
+    shadowed: bool
+    #: charge the ledger fire by fire instead of banking counts (a
+    #: battery or a ``beacon_charge`` subscriber)
+    per_charge: bool
+    #: a battery is armed: a charge can kill a node mid-flush
+    armed: bool
 
 
 class MobilityBank:
@@ -239,9 +263,9 @@ class BatchedBeaconEngine:
 
     Mid-interval state reads go through :meth:`flush`, which brings the
     world up to ``sim.now`` and is a pure function of (state, time) — so
-    observer-triggered flushes cannot perturb outcomes.  A table read
-    on the fast path goes through :meth:`settle_row` instead, which
-    brings only the reader's row up to ``sim.now``: the row a flush
+    observer-triggered flushes cannot perturb outcomes.  While row
+    reads are open a table read goes through :meth:`settle_row` instead,
+    which brings only the reader's row up to ``sim.now``: the row a flush
     would leave, at the cost of one row.  Until the next flush the other
     rows, the event credits and the deferred beacon energy lag behind
     the latest read; :meth:`settle` catches them up, and every reader of
@@ -299,17 +323,13 @@ class BatchedBeaconEngine:
         radio_ = network.radio
         self._cell_r = (radio_.max_range_m
                         if radio_.shadowing_sigma != 0.0 else radio_.range_m)
-        # Pending deliveries, appended in fire order → chronological.
-        # Two shapes share the list, told apart by entry[1]'s type:
-        #   per-fire: (t_deliver, sender_idx:int, surv_idx, bx, by, sp,
-        #             vx, vy)
-        #   group:    (t_first, t_deliver[], sender_idx[], pair_rows[],
-        #             pair_cols[], bx[], by[], sp[], vx[], vy[]) — the
-        #             fast path; rows index into the group's fires, cols
-        #             are receivers.  Dense records are row-major (fire,
-        #             receiver); sparse ones are in store-key order
-        #             (receiver, sender, fire).
-        # entry[0] is always the earliest delivery time in the entry.
+        # Pending deliveries, appended in fire order → chronological:
+        # group records (t_first, t_deliver[], sender_idx[], pair_rows[],
+        # pair_cols[], bx[], by[], sp[], vx[], vy[]); rows index into the
+        # record's fires, cols are receivers.  Dense records are
+        # row-major (fire, receiver); sparse ones are in store-key order
+        # (receiver, sender, fire).  entry[0] is the earliest delivery
+        # time in the record.
         self.pending: List[tuple] = []
         self._next_delivery = math.inf
         self._nf_min = math.inf
@@ -325,19 +345,22 @@ class BatchedBeaconEngine:
         # Account objects are created once and never replaced, so the
         # kernel keeps each touched row's beacon part for materializing.
         self._accts: List[Optional[EnergyAccount]] = [None] * n
-        # Deferred beacon charge counts (fast path): _bulk_energy banks
-        # per-row tx/rx *counts* here instead of writing every account
+        # Deferred beacon charge counts (banked booking): _bulk_energy
+        # banks per-row tx/rx *counts* here instead of writing every account
         # each epoch; the ledger's lazy_source gateway materializes a
         # row's counts on first account touch (see EnergyLedger.account).
         self._def_tx = np.zeros(n, dtype=np.int64)
         self._def_rx = np.zeros(n, dtype=np.int64)
         self._def_costs: Optional[Tuple[float, float]] = None
+        # Rows holding banked counts: the gateway returns at once while
+        # there are none (every charge of a per-charge flush reads it).
+        self._n_banked = 0
         network.ledger.lazy_source = self._energy_probe
         # Per-receiver beacon loss draws: their own stream, so beacons
         # never shift the MAC's frame draws.
         self._loss_rng = self.sim.rng.stream("mac.beacon")
-        # Row reads (fast path): the live fires generated since the last
-        # flush, unresolved, one column each of (t, t_deliver, bx, by,
+        # Row reads: the live fires generated since the last flush,
+        # unresolved, one column each of (t, t_deliver, bx, by,
         # sp, vx, vy, snapshot time serving the fire), their sender rows,
         # and the fires generated in all (credited when resolved).
         self._buf = np.empty((8, 256))
@@ -393,8 +416,7 @@ class BatchedBeaconEngine:
         self._nf_min = math.inf
         if self.pending:
             # Drain in-flight beacons: frames already sent are delivered.
-            t_last = max(float(p[1][-1]) if isinstance(p[1], np.ndarray)
-                         else p[0] for p in self.pending)
+            t_last = max(float(p[1][-1]) for p in self.pending)
             self.sim.schedule_at(t_last, lambda: self.flush(self.sim.now))
 
     def grow(self, node: SensorNode) -> None:
@@ -461,24 +483,27 @@ class BatchedBeaconEngine:
 
     # -- flush ---------------------------------------------------------------
 
-    def _fast(self) -> bool:
-        """The fast gate: no battery and no ``beacon_charge`` subscriber
-        (so liveness cannot flip mid-flush and charges need no order)
-        and a lossless unshadowed channel (no RNG draws to sequence)."""
+    def _rules(self) -> Optional[_Rules]:
+        """The rules a flush resolving now follows, or None when it has
+        none: a lossless unshadowed channel (no RNG draws to sequence),
+        no ``beacon_charge`` subscriber and no battery (charges need no
+        order and liveness cannot flip mid-flush)."""
         net = self.net
         ledger = net.ledger
         radio = net.radio
-        return (ledger.capacity_j is None
-                and not ledger.observed("beacon_charge")
-                and radio.shadowing_sigma == 0.0
-                and radio.base_loss_rate == 0.0
-                and net.mac.loss_overlay_at is None)
+        armed = ledger.capacity_j is not None
+        rules = _Rules(lossy=(radio.base_loss_rate != 0.0
+                              or net.mac.loss_overlay_at is not None),
+                       shadowed=radio.shadowing_sigma != 0.0,
+                       per_charge=armed or ledger.observed("beacon_charge"),
+                       armed=armed)
+        return rules if any(rules) else None
 
     def _row_reads(self) -> bool:
-        """Whether a table read may settle its row alone: the fast gate,
-        and no ``beacon`` subscriber (which must see every delivery in
-        order, as a flush makes them)."""
-        return self._fast() and not self.sim.probe.beacon
+        """Whether a table read may settle its row alone: a flush with no
+        rules, and no ``beacon`` subscriber (which must see every
+        delivery in order, as a flush makes them)."""
+        return self._rules() is None and not self.sim.probe.beacon
 
     def flush(self, now: float) -> None:
         """Bring beacon state exactly up to ``now``."""
@@ -494,13 +519,8 @@ class BatchedBeaconEngine:
             return  # fast path: nothing due; no revision churn
         self._flushing = True
         try:
-            if self._fast():
-                self._buffer_fires(now)
-                n_events = self._resolve_buffer()
-            else:
-                fires = self._generate_fires(now)
-                n_events = 0 if fires is None else (
-                    int(fires[0].size) + self._process_slow(*fires))
+            self._buffer_fires(now)
+            n_events = self._resolve_buffer(self._rules())
             self._apply_due(now)
             self._finish(now, n_events)
         finally:
@@ -516,9 +536,10 @@ class BatchedBeaconEngine:
         t = self._read_t
         self._flushing = True
         try:
+            # The reads ran with no rules and no ``beacon`` subscriber, so
+            # a flush at their time would have resolved plainly and told
+            # no one.
             n_events = self._resolve_buffer()
-            # The reads ran with no ``beacon`` subscriber, so a flush at
-            # their time would have told none.
             self._apply_due(t, tell_pairs=False)
             self._finish(t, n_events)
         finally:
@@ -630,7 +651,8 @@ class BatchedBeaconEngine:
         stale by epsilon, or when it is missing a node (it drops dead
         nodes, so it re-syncs every fire until everyone is back); a
         full-but-stale snapshot keeps serving within epsilon even if a
-        node died since.  Liveness cannot flip inside a fast flush, so
+        node died since.  Liveness cannot flip inside one call (an armed
+        battery resolves one fire per call), so
         "full" after a refresh means everyone is alive now.
 
         Returns ``(starts, st, full)``: the indices of the fires that
@@ -707,10 +729,15 @@ class BatchedBeaconEngine:
         self._buf_n = n1
         self.net.stats.beacons_sent += m
 
-    def _resolve_buffer(self) -> int:
-        """Resolve every buffered fire in one pass, leave its delivery
-        records in ``pending`` and bank its energy; returns the events
-        to credit (fires generated plus delivery batches)."""
+    def _resolve_buffer(self, rules: Optional[_Rules] = None) -> int:
+        """Resolve every buffered fire under ``rules`` (None: none), leave
+        its delivery records in ``pending`` and book its energy; returns
+        the events to credit (fires generated plus delivery batches).
+
+        With a battery armed a charge can kill a node, so the fires
+        resolve one at a time, each under the liveness the charges
+        before it left; a fire whose sender died earlier in the flush is
+        skipped and taken back out of ``beacons_sent``."""
         n_events = self._buf_fires
         self._buf_fires = 0
         m = self._buf_n
@@ -722,41 +749,59 @@ class BatchedBeaconEngine:
         tf = b[0, :m].copy()
         idx = self._buf_i[:m].copy()
         kin = tuple(b[row, :m].copy() for row in range(2, 7))
-        n = len(self.ids)
-        tx_counts = np.bincount(idx, minlength=n)
-        rx_counts = np.zeros(n, dtype=np.int64)
-        if self._large:
-            n_batches = self._resolve_groups(tf, idx, kin, rx_counts)
-        else:
-            n_batches = self._process_whole_flush(tf, tf.tolist(), idx, kin,
-                                                  rx_counts)
-        self._bulk_energy(self.net, tx_counts, rx_counts)
-        return n_events + n_batches
+        resolve = (self._resolve_groups if self._large
+                   else self._process_whole_flush)
+        if rules is None or not rules.armed:
+            n = len(self.ids)
+            rx_counts = (None if rules is not None and rules.per_charge
+                         else np.zeros(n, dtype=np.int64))
+            n_events += resolve(tf, tf.tolist(), idx, kin, rx_counts, rules)
+            if rx_counts is not None:
+                self._bulk_energy(self.net, np.bincount(idx, minlength=n),
+                                  rx_counts)
+            return n_events
+        for j, (t, s) in enumerate(zip(tf.tolist(), idx.tolist())):
+            self._virtual_now = t
+            if not self.alive_mask[s]:
+                self.net.stats.beacons_sent -= 1
+                continue
+            one = slice(j, j + 1)
+            n_events += resolve(tf[one], [t], idx[one],
+                                tuple(c[one] for c in kin), None, rules)
+        return n_events
 
-    def _resolve_groups(self, tf: np.ndarray, idx: np.ndarray, kin: tuple,
-                        rx_counts: np.ndarray) -> int:
-        """The sparse store's fast resolution: each snapshot group folds
-        into a handful of array ops over its cell-bucket candidates and
+    def _resolve_groups(self, tf: np.ndarray, tf_list: List[float],
+                        idx: np.ndarray, kin: tuple,
+                        rx_counts: Optional[np.ndarray],
+                        rules: Optional[_Rules]) -> int:
+        """The sparse store's resolution: each snapshot group folds into
+        a handful of array ops over its cell-bucket candidates and
         leaves one group record, its pairs in store-key order (receiver,
         then sender, a sender's later fire last); returns the delivery
-        batches made."""
+        batches made.  Energy is booked by :meth:`_book`."""
         starts, _st, _full = self._walk_groups(tf, self.snap_t,
                                                self._snap_full)
-        spx, spy = kin[0], kin[1]
         n = len(self.ids)
+        thr = self._reach(rules) ** 2
         n_batches = 0
         bounds = ([0] if not starts or starts[0] else []) + starts
-        for a, b in zip(bounds, bounds[1:] + [int(tf.size)]):
+        for a, b in zip(bounds, bounds[1:] + [len(tf_list)]):
             if starts and a >= starts[0]:
-                self._refresh_snapshot(float(tf[a]))
+                self._refresh_snapshot(tf_list[a])
             g_idx = idx[a:b]
-            prows, pcols = self._group_pairs(g_idx, spx[a:b], spy[a:b],
-                                             self._r_sq)
-            self._touch_new(g_idx, prows, pcols)
+            g_kin = tuple(c[a:b] for c in kin)
+            prows, pcols = self._group_pairs(g_idx, g_kin[0], g_kin[1], thr)
+            if rules is not None:
+                # Candidate rows come out ascending, receivers unsorted:
+                # draws and charges go fire by fire, receivers ascending.
+                order = np.argsort(prows * n + pcols)
+                prows, pcols = self._channel(
+                    rules, tf[a:b], g_idx, g_kin, prows[order], pcols[order],
+                    lambda p, c: (self.snap_x[c], self.snap_y[c]))
+            self._book(g_idx, prows, pcols, rx_counts)
             if not prows.size:
                 continue
-            rx_counts += np.bincount(pcols, minlength=n)
-            # Candidate rows come out ascending.
+            # Rows ascending.
             n_batches += 1 + int(np.count_nonzero(prows[1:] != prows[:-1]))
             key = pcols * n
             key += g_idx[prows]
@@ -765,214 +810,146 @@ class BatchedBeaconEngine:
             order = key.argsort()
             tds = tf[a:b] + self.delay
             self.pending.append((float(tds[0]), tds, g_idx, prows[order],
-                                 pcols[order]) + tuple(c[a:b] for c in kin))
-        self._virtual_now = float(tf[-1])
-        return n_batches
-
-    def _process_slow(self, t_all: np.ndarray, i_all: np.ndarray) -> int:
-        """Execute live fires in order, one at a time: per-fire RNG
-        draws and eager charges (slow energy, shadowing, loss), with
-        cell-bucketed candidates on a sparse store; returns the number
-        of delivery batches created (for event crediting)."""
-        net = self.net
-        ok = self.alive_mask[i_all] & ~self.muted_mask[i_all]
-        if not ok.any():
-            return 0
-        idx = i_all[ok] if not ok.all() else i_all
-        tf = t_all[ok] if not ok.all() else t_all
-        tf_list = tf.tolist()
-        idx_list = idx.tolist()
-        # Sender kinematics, gathered before any snapshot refresh mutates
-        # bank rows (kinematics_at handles per-element staleness).
-        spx, spy, ssp, svx, svy = self.bank.kinematics_at(idx, tf)
-
-        mac = net.mac
-        ledger = net.ledger
-        slow_energy = (ledger.observed("beacon_charge")
-                       or ledger.capacity_j is not None)
-        has_overlay = mac.loss_overlay_at is not None
-        base_loss = net.radio.base_loss_rate
-        shadowing = net.radio.shadowing_sigma != 0.0
-        r_sq = net.radio.range_m ** 2
-        max_r_sq = net.radio.max_range_m ** 2
-        eps = net.position_epsilon
-        n_batches = 0
-        tx_counts: Optional[np.ndarray] = None
-        rx_counts: Optional[np.ndarray] = None
-        if not slow_energy:
-            tx_counts = np.zeros(len(self.ids), dtype=np.int64)
-            rx_counts = np.zeros(len(self.ids), dtype=np.int64)
-
-        n_live = len(tf_list)
-        k = 0
-        while k < n_live:
-            t_k = tf_list[k]
-            # The snapshot rule of _walk_groups, fire by fire: a battery
-            # may change liveness inside this loop.
-            if t_k - self.snap_t >= eps or not self._snap_full:
-                self._refresh_snapshot(t_k)
-            # Group consecutive fires sharing this snapshot.
-            g_end = k + 1
-            if self._snap_full:
-                while (g_end < n_live
-                       and tf_list[g_end] - self.snap_t < eps):
-                    g_end += 1
-            g_idx = idx[k:g_end]
-            B = g_end - k
-            thr = max_r_sq if shadowing else r_sq
-            if self._large:
-                # Cell-bucketed candidates instead of a (B, N) matrix,
-                # sorted row-major.
-                prows, pcols = self._group_pairs(
-                    g_idx, spx[k:g_end], spy[k:g_end], thr)
-                sel = np.argsort(prows * len(self.ids) + pcols)
-                prows, pcols = prows[sel], pcols[sel]
-                row_starts = np.searchsorted(prows, np.arange(B + 1))
-                in_range = None
-            else:
-                dxm = self.snap_x[None, :] - spx[k:g_end, None]
-                dym = self.snap_y[None, :] - spy[k:g_end, None]
-                d2 = dxm * dxm + dym * dym
-                in_range = d2 <= thr
-                in_range &= self.snap_alive[None, :]
-                in_range &= self.alive_mask[None, :]
-                in_range[np.arange(B), g_idx] = False
-                row_starts = None
-            for g in range(k, g_end):
-                t_f = tf_list[g]
-                s_i = idx_list[g]
-                self._virtual_now = t_f
-                if not self.alive_mask[s_i] or self.muted_mask[s_i]:
-                    # Sender killed earlier in this flush (battery):
-                    # liveness is checked at its own fire time, so it
-                    # skips.
-                    continue
-                if in_range is not None:
-                    r_idx = np.nonzero(in_range[g - k])[0]
-                else:
-                    r_idx = pcols[row_starts[g - k]:row_starts[g - k + 1]]
-                if slow_energy:
-                    # A battery may have killed receivers earlier in this
-                    # group.
-                    r_idx = r_idx[self.alive_mask[r_idx]]
-                if shadowing and r_idx.size:
-                    sid = int(self.ids[s_i])
-                    spos = Vec2(float(spx[g]), float(spy[g]))
-                    keep = []
-                    for ri in r_idx.tolist():
-                        rpos = Vec2(float(self.snap_x[ri]),
-                                    float(self.snap_y[ri]))
-                        if rpos.distance_to(spos) <= net.link_range(
-                                sid, int(self.ids[ri])):
-                            keep.append(ri)
-                    r_idx = np.array(keep, dtype=np.int64)
-                net.stats.beacons_sent += 1
-                if slow_energy:
-                    # A battery may kill the sender mid-charge; its
-                    # frame still goes out (charge first, then send).
-                    ledger.charge_tx(int(self.ids[s_i]), self.bits,
-                                     net.radio.range_m, "beacon_charge")
-                else:
-                    tx_counts[s_i] += 1
-                    if not self._acct_touched[s_i]:
-                        self._touch_account(s_i)
-                loss = mac.loss_rate_at(t_f) if has_overlay else base_loss
-                # A lossless channel draws nothing; one random(n) call
-                # consumes the stream exactly as n scalar draws would.
-                if loss > 0.0 and r_idx.size:
-                    survivors = r_idx[self._loss_rng.random(r_idx.size)
-                                      >= loss]
-                else:
-                    survivors = r_idx
-                # rx is charged at FIRE time for all survivors, even
-                # ones that die before delivery.
-                if slow_energy:
-                    for ri in survivors.tolist():
-                        ledger.charge_rx(int(self.ids[ri]), self.bits,
-                                         "beacon_charge")
-                else:
-                    np.add.at(rx_counts, survivors, 1)
-                    fresh = survivors[~self._acct_touched[survivors]]
-                    for ri in fresh.tolist():
-                        self._touch_account(ri)
-                if survivors.size:
-                    self.pending.append(
-                        (t_f + self.delay, s_i, survivors,
-                         float(spx[g]), float(spy[g]), float(ssp[g]),
-                         float(svx[g]), float(svy[g])))
-                    n_batches += 1
-            k = g_end
-        if not slow_energy:
-            self._bulk_energy(net, tx_counts, rx_counts)
+                                 pcols[order]) + g_kin)
+        self._virtual_now = tf_list[-1]
         return n_batches
 
     def _process_whole_flush(self, tf: np.ndarray, tf_list: List[float],
                              idx: np.ndarray, kin: tuple,
-                             rx_counts: np.ndarray) -> int:
-        """Resolve every live fire of a fast dense flush in one pass;
-        returns the number of delivery batches created.
+                             rx_counts: Optional[np.ndarray],
+                             rules: Optional[_Rules]) -> int:
+        """The dense store's resolution: every fire in one pass; returns
+        the number of delivery batches created.  Energy is booked by
+        :meth:`_book`.
 
-        Liveness cannot flip mid-flush, so the snapshot groups the
-        sequential loop would form are a pure function of the fire
-        times (:meth:`_walk_groups`).  Every group's snapshot comes from
-        one multi-time bank call, every fire's receivers from one
-        (n_fires, N) range matrix, and the flush leaves one group record
-        in ``pending``.  Only a full snapshot is ever reused, so fires it
-        serves need no mask beyond the current ``alive_mask`` — the same
-        one a refreshed snapshot holds.
+        Liveness cannot flip inside the call (an armed battery resolves
+        one fire per call), so the snapshot groups the fires fall into
+        are a pure function of the fire times (:meth:`_walk_groups`).
+        Every group's snapshot comes from one multi-time bank call,
+        every fire's receivers from one (n_fires, N) range matrix, and
+        the call leaves one group record in ``pending``.  Only a full
+        snapshot is ever reused, so fires it serves need no mask beyond
+        the current ``alive_mask`` — the same one a refreshed snapshot
+        holds.
         """
-        net = self.net
-        spx, spy = kin[0], kin[1]
         all_alive = bool(self.alive_mask.all())
         n_live = len(tf_list)
         starts, st, full = self._walk_groups(tf, self.snap_t,
                                              self._snap_full)
-        # Per-fire snapshot row: 0 is the pre-flush snapshot, g the g-th
-        # refresh.
-        g_row = np.zeros(n_live, dtype=np.intp)
+        # Each fire's snapshot row: the pre-flush snapshot, or the
+        # refresh serving it.
+        xs, ys = self.snap_x[None, :], self.snap_y[None, :]
         if starts:
-            g_row[starts] = 1
-            g_row = np.cumsum(g_row)
             gx, gy = self.bank.positions_many(tf[starts])
-            sxs = np.concatenate((self.snap_x[None, :], gx))
-            sys_ = np.concatenate((self.snap_y[None, :], gy))
+            if len(starts) < n_live:
+                g_row = np.zeros(n_live, dtype=np.intp)
+                g_row[starts] = 1
+                g_row = np.cumsum(g_row)
+                xs = np.concatenate((xs, gx))[g_row]
+                ys = np.concatenate((ys, gy))[g_row]
+            else:
+                xs, ys = gx, gy
             self.snap_x = gx[-1].copy()
             self.snap_y = gy[-1].copy()
             self.snap_alive = self.alive_mask.copy()
             self._snap_full = full
             self.snap_t = st
-        else:
-            sxs = self.snap_x[None, :]
-            sys_ = self.snap_y[None, :]
-        dxm = sxs[g_row]
-        dxm -= spx[:, None]
+        dxm = xs - kin[0][:, None]
         dxm *= dxm
-        dym = sys_[g_row]
-        dym -= spy[:, None]
+        dym = ys - kin[1][:, None]
         dym *= dym
         dxm += dym
-        in_range = dxm <= net.radio.range_m ** 2
+        in_range = dxm <= self._reach(rules) ** 2
         if not all_alive:
             in_range &= self.alive_mask
         in_range[np.arange(n_live), idx] = False
         # np.nonzero is row-major: pairs sorted by (fire, receiver).
         prows, pcols = np.nonzero(in_range)
-        self._touch_new(idx, prows, pcols)
-        rx_counts += np.bincount(pcols, minlength=len(self.ids))
-        if prows.size:
-            tds = tf + self.delay
-            self.pending.append((float(tds[0]), tds, idx, prows, pcols)
-                                + kin)
+        if rules is not None:
+            prows, pcols = self._channel(
+                rules, tf, idx, kin, prows, pcols,
+                lambda p, c: ((xs[p, c], ys[p, c]) if len(xs) > 1
+                              else (xs[0, c], ys[0, c])))
+        self._book(idx, prows, pcols, rx_counts)
         self._virtual_now = tf_list[-1]
-        return int(np.count_nonzero(in_range.any(axis=1)))
+        if not prows.size:
+            return 0
+        tds = tf + self.delay
+        self.pending.append((float(tds[0]), tds, idx, prows, pcols) + kin)
+        return 1 + int(np.count_nonzero(prows[1:] != prows[:-1]))
+
+    def _reach(self, rules: Optional[_Rules]) -> float:
+        """The range receivers are resolved within: the radio's maximum
+        under shadowing (each link is then held to its own range), its
+        nominal range otherwise."""
+        radio = self.net.radio
+        return (radio.max_range_m if rules is not None and rules.shadowed
+                else radio.range_m)
+
+    def _channel(self, rules: _Rules, tf: np.ndarray, idx: np.ndarray,
+                 kin: tuple, prows: np.ndarray, pcols: np.ndarray,
+                 receiver_xy) -> Tuple[np.ndarray, np.ndarray]:
+        """The (fire, receiver) pairs, given and returned in that order,
+        that the channel delivers.  Shadowing keeps a pair whose link
+        reaches the receiver's snapshot position, ``receiver_xy(prows,
+        pcols)`` (:meth:`Network.links_reach`).  Loss then draws one
+        uniform per remaining pair from the ``mac.beacon`` stream, in
+        pair order, for the fires whose loss at their own time is
+        positive, and keeps the pairs that draw at or above it: the
+        draws one event per fire would make."""
+        net = self.net
+        if rules.shadowed and prows.size:
+            rx, ry = receiver_xy(prows, pcols)
+            keep = np.array(net.links_reach(
+                self.ids[idx[prows]].tolist(), self.ids[pcols].tolist(),
+                kin[0][prows].tolist(), kin[1][prows].tolist(),
+                rx.tolist(), ry.tolist()), dtype=bool)
+            prows, pcols = prows[keep], pcols[keep]
+        if rules.lossy and prows.size:
+            loss_at = net.mac.loss_rate_at
+            loss = np.array([loss_at(t) for t in tf.tolist()])[prows]
+            drawn = np.flatnonzero(loss > 0.0)
+            if drawn.size:
+                keep = np.ones(prows.size, dtype=bool)
+                keep[drawn] = (self._loss_rng.random(drawn.size)
+                               >= loss[drawn])
+                prows, pcols = prows[keep], pcols[keep]
+        return prows, pcols
+
+    def _book(self, idx: np.ndarray, prows: np.ndarray, pcols: np.ndarray,
+              rx_counts: Optional[np.ndarray]) -> None:
+        """Book the beacon energy of resolved fires: ``idx[f]`` sends
+        fire ``f`` and ``(prows, pcols)`` are its delivered (fire,
+        receiver) pairs.  Banked (``rx_counts`` given): create the
+        accounts the fires touch first, in charge order, and count the
+        receptions for :meth:`_bulk_energy`.  Per charge (pairs in
+        (fire, receiver) order): charge the ledger fire by fire, the
+        sender's tx, then each receiver's rx ascending, as one event per
+        fire would — a battery may kill a node at any of them, and its
+        frame still goes out."""
+        if rx_counts is not None:
+            self._touch_new(idx, prows, pcols)
+            rx_counts += np.bincount(pcols, minlength=len(self.ids))
+            return
+        ledger = self.net.ledger
+        bits = self.bits
+        range_m = self.net.radio.range_m
+        receivers = self.ids[pcols].tolist()
+        ends = prows.searchsorted(np.arange(1, idx.size + 1)).tolist()
+        a = 0
+        for sender, z in zip(self.ids[idx].tolist(), ends):
+            ledger.charge_tx(sender, bits, range_m, "beacon_charge")
+            for receiver in receivers[a:z]:
+                ledger.charge_rx(receiver, bits, "beacon_charge")
+            a = z
 
     def _bulk_energy(self, net, tx_counts: np.ndarray,
                      rx_counts: np.ndarray) -> None:
         """Bank counted beacon tx/rx charges for deferred materialization.
 
         Repeated addition of one constant is order-independent given the
-        count, and every involved account already exists (the sequential
-        loop and :meth:`_touch_new` create them in charge order) — so
+        count, and every involved account already exists
+        (:meth:`_touch_new` creates them in charge order) — so
         nothing needs the account objects *now*.  Two vector adds bank
         the counts; :meth:`_energy_probe` (wired as the ledger's
         ``lazy_source``) converts a row's banked count into the exact
@@ -984,6 +961,7 @@ class BatchedBeaconEngine:
                            model.rx_cost(self.bits))
         self._def_tx += tx_counts
         self._def_rx += rx_counts
+        self._n_banked = int(np.count_nonzero(self._def_tx | self._def_rx))
 
     def _touch_account(self, i: int) -> None:
         """Create row ``i``'s beacon-part account now, in charge order,
@@ -996,7 +974,7 @@ class BatchedBeaconEngine:
     def _touch_new(self, senders: np.ndarray, prows: np.ndarray,
                    pcols: np.ndarray) -> None:
         """Create the beacon-part accounts a batch of resolved fires
-        touches for the first time, in the order the sequential loop
+        touches for the first time, in the order one event per fire
         charges them: fire by fire, the sender, then its receivers
         ascending.  ``senders[f]`` is fire ``f``'s sender and ``(prows,
         pcols)`` its (fire, receiver) pairs, in any order.
@@ -1028,12 +1006,11 @@ class BatchedBeaconEngine:
         (None = every node, in two vector passes) before the account is
         read or mutated."""
         self.settle()
-        if self._def_costs is None:
+        if not self._n_banked:
             return
         if node_id is None:
+            self._n_banked = 0
             nz = np.flatnonzero(self._def_tx | self._def_rx)
-            if not nz.size:
-                return
             accts = [self._accts[i] for i in nz.tolist()]
             tx_cost, rx_cost = self._def_costs
             tx = repeated_add_many([a.tx_j for a in accts], tx_cost,
@@ -1055,6 +1032,7 @@ class BatchedBeaconEngine:
         cr = int(self._def_rx[i])
         if not (ct or cr):
             return
+        self._n_banked -= 1
         self._def_tx[i] = 0
         self._def_rx[i] = 0
         # Only touched rows bank counts, so their account is kept.
@@ -1107,7 +1085,7 @@ class BatchedBeaconEngine:
         straddler: Optional[tuple] = None
         while split < len(self.pending) and self.pending[split][0] <= now:
             e = self.pending[split]
-            if isinstance(e[1], np.ndarray) and float(e[1][-1]) > now:
+            if float(e[1][-1]) > now:
                 # A group record straddling ``now``: split it at the
                 # boundary.  Delivery delay is constant, so every later
                 # pending entry starts strictly after this one — safe to
@@ -1142,59 +1120,26 @@ class BatchedBeaconEngine:
         fires: List[np.ndarray] = []
         parts: List[tuple] = []
         n_parts = 0
-        for entry in due:
-            if isinstance(entry[1], np.ndarray):
-                tds, gi, g_rows, g_cols, kin = (entry[1], entry[2],
-                                                entry[3], entry[4],
-                                                entry[5:])
-                if has_transitions:
-                    if g_rows.size:
-                        keep = self._alive_at_bulk(g_cols, tds[g_rows])
-                        g_rows, g_cols = g_rows[keep], g_cols[keep]
-                elif not all_alive:
-                    keep = self.alive_mask[g_cols]
+        for tds, gi, g_rows, g_cols, *kin in (e[1:] for e in due):
+            if has_transitions:
+                if g_rows.size:
+                    keep = self._alive_at_bulk(g_cols, tds[g_rows])
                     g_rows, g_cols = g_rows[keep], g_cols[keep]
-                if g_rows.size == 0:
-                    continue
-                if hooks:
-                    self._tell(hooks, tds, gi, g_rows, g_cols)
-                n_delivered += int(g_rows.size)
-                if self._large:
-                    self._write_group(tds, gi, g_rows, g_cols, kin)
-                    continue
-                fires.append(gi)
-                parts.append((g_cols, gi[g_rows], tds[g_rows])
-                             + tuple(c[g_rows] for c in kin))
-            else:
-                (td, s_i, surv, bx, by, sp, vx, vy) = entry
-                if has_transitions:
-                    surv = surv[self._alive_at_bulk(
-                        surv, np.full(surv.size, td))]
-                else:
-                    surv = surv[self.alive_mask[surv]]
-                if surv.size == 0:
-                    continue
-                if hooks:
-                    src = int(self.ids[s_i])
-                    for r in surv.tolist():
-                        rid = int(self.ids[r])
-                        for hook in hooks:
-                            hook(rid, src, td)
-                m = surv.size
-                n_delivered += m
-                if self._large:
-                    # A one-fire group record: receivers ascending are
-                    # its store keys ascending.
-                    self._write_group(
-                        np.array([td]), np.array([s_i]),
-                        np.zeros(m, dtype=np.intp), surv,
-                        tuple(np.array([v]) for v in (bx, by, sp, vx, vy)))
-                    continue
-                fires.append(np.array([s_i], dtype=np.int64))
-                parts.append((surv, np.full(m, s_i, dtype=np.int64))
-                             + tuple(np.full(m, v)
-                                     for v in (td, bx, by, sp, vx, vy)))
-            n_parts += int(parts[-1][0].size)
+            elif not all_alive:
+                keep = self.alive_mask[g_cols]
+                g_rows, g_cols = g_rows[keep], g_cols[keep]
+            if g_rows.size == 0:
+                continue
+            if hooks:
+                self._tell(hooks, tds, gi, g_rows, g_cols)
+            n_delivered += int(g_rows.size)
+            if self._large:
+                self._write_group(tds, gi, g_rows, g_cols, kin)
+                continue
+            fires.append(gi)
+            parts.append((g_cols, gi[g_rows], tds[g_rows])
+                         + tuple(c[g_rows] for c in kin))
+            n_parts += int(g_cols.size)
             if n_parts >= _APPLY_CHUNK:
                 self._write_deliveries(fires, parts)
                 fires, parts, n_parts = [], [], 0
@@ -1309,7 +1254,7 @@ class BatchedBeaconEngine:
 
     def settle_row(self, node: SensorNode) -> None:
         """Bring ``node``'s neighbor-table row exactly to what a flush
-        to now would leave in it.  On the fast path only that row is
+        to now would leave in it.  While row reads are open only that row is
         touched (:meth:`_settle_row`); otherwise this is a flush."""
         if self._flushing:
             return
@@ -1346,25 +1291,21 @@ class BatchedBeaconEngine:
         for e in self.pending:
             if e[0] > now:
                 break
-            if isinstance(e[1], np.ndarray):
-                tds, gi, prows, pcols = e[1], e[2], e[3], e[4]
-                if tds[-1] <= lo:
-                    continue  # applied by an earlier read of the row
-                if self._large:
-                    # Key-ordered: the row's pairs are one slice, by
-                    # sender, a sender's fires in order.
-                    a, z = pcols.searchsorted((r, r + 1))
-                    rows = prows[a:z]
-                else:
-                    rows = prows[pcols == r]
-                t = tds[rows]
-                rows = rows[(t > lo) & (t <= now)]
-                if rows.size:
-                    parts.append((gi[rows], tds[rows])
-                                 + tuple(c[rows] for c in e[5:]))
-            elif lo < e[0] <= now and bool((e[2] == r).any()):
-                parts.append((np.array([e[1]]), np.array([e[0]]))
-                             + tuple(np.array([v]) for v in e[3:]))
+            tds, gi, prows, pcols = e[1], e[2], e[3], e[4]
+            if tds[-1] <= lo:
+                continue  # applied by an earlier read of the row
+            if self._large:
+                # Key-ordered: the row's pairs are one slice, by sender,
+                # a sender's fires in order.
+                a, z = pcols.searchsorted((r, r + 1))
+                rows = prows[a:z]
+            else:
+                rows = prows[pcols == r]
+            t = tds[rows]
+            rows = rows[(t > lo) & (t <= now)]
+            if rows.size:
+                parts.append((gi[rows], tds[rows])
+                             + tuple(c[rows] for c in e[5:]))
         n = self._buf_n
         if n:
             b = self._buf

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -201,6 +202,20 @@ class Network:
             self._link_factor_cache[key] = factor
         return self.radio.range_m * factor
 
+    def links_reach(self, senders: Iterable[int], receivers: Iterable[int],
+                    sxs: Iterable[float], sys_: Iterable[float],
+                    rxs: Iterable[float], rys: Iterable[float]
+                    ) -> List[bool]:
+        """Per-link shadowing over columns: whether each link
+        ``senders[i] -> receivers[i]`` spans the distance from its sender
+        at ``(sxs[i], sys_[i])`` to its receiver at ``(rxs[i], rys[i])``
+        (``math.hypot(receiver - sender) <= link_range``)."""
+        link_range = self.link_range
+        hypot = math.hypot
+        return [hypot(rx - sx, ry - sy) <= link_range(s, r)
+                for s, r, sx, sy, rx, ry in zip(senders, receivers, sxs,
+                                                sys_, rxs, rys)]
+
     def _receivers_for(self, sender_id: int, position: Vec2) -> Receivers:
         """PHY receivers of a frame sent by ``sender_id`` at ``position``,
         as the MAC's parallel ``(ids, xs, ys)`` columns, honoring per-link
@@ -209,14 +224,11 @@ class Network:
             return self._within(position, self.radio.range_m, sender_id)
         ids, xs, ys = self._within(position, self.radio.max_range_m,
                                    sender_id)
-        out: Receivers = ([], [], [])
-        for nid, x, y in zip(ids, xs, ys):
-            if Vec2(x, y).distance_to(position) <= \
-                    self.link_range(sender_id, nid):
-                out[0].append(nid)
-                out[1].append(x)
-                out[2].append(y)
-        return out
+        n = len(ids)
+        keep = self.links_reach(repeat(sender_id, n), ids,
+                                repeat(position.x, n), repeat(position.y, n),
+                                xs, ys)
+        return tuple(list(compress(col, keep)) for col in (ids, xs, ys))
 
     def nearest_node(self, position: Vec2,
                      exclude: Optional[set] = None) -> SensorNode:

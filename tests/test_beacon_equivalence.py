@@ -623,12 +623,28 @@ def test_equal_with_full_snapshot_stale_across_death(seed, whole_flushes):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("loss", [0.0, 0.1])
 def test_equal_with_batteries(seed, loss):
-    """An armed battery puts the kernel on its per-charge path, and
-    beacon traffic kills nodes in the middle of a flush.  Every third
-    node starts with protocol energy already spent, and more protocol
-    receptions land between beacon fires, so deaths come from the one
-    budget over both ledger parts.  Deaths and their order, tables and
-    per-node beacon energy match the reference at every boundary."""
+    """An armed battery has the kernel charge fire by fire, resolving
+    one fire at a time, and beacon traffic kills nodes in the middle of
+    a flush.  Every third node starts with protocol energy already
+    spent, and more protocol receptions land between beacon fires, so
+    deaths come from the one budget over both ledger parts.  Deaths and
+    their order, tables and per-node beacon energy match the reference
+    at every boundary."""
+    compare_batteries(seed, loss)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+def test_equal_with_batteries_on_sparse_store(seed, loss, monkeypatch):
+    """The battery differential on the sparse store: each fire resolves
+    from its own cell-bucket candidates and leaves a key-ordered
+    record."""
+    monkeypatch.setattr(beacons, "_DENSE_MAX", 0)
+    compare_batteries(seed, loss)
+
+
+def compare_batteries(seed, loss):
+    """Run test_equal_with_batteries' script on both kernels."""
     n = 40
 
     def run(kernel):
@@ -811,12 +827,12 @@ def test_row_reads_match_flushed_reads(store, seed):
 @pytest.mark.parametrize("closer", ["beacon", "beacon_charge", "battery",
                                     "loss", "grow"])
 def test_gate_closing_after_row_reads(store, closer):
-    """Row reads buffer fires only while the fast gate holds.  When it
-    closes before the next flush (a subscriber arrives, a battery is
+    """Row reads buffer fires only while the row-read gate holds.  When
+    it closes before the next flush (a subscriber arrives, a battery is
     armed, the channel turns lossy, a node joins), the buffered reads
-    settle first, as the flushes they stand for did: subscribers see
-    only what comes after, and tables and energy match a run whose
-    reads flushed."""
+    settle first, resolved as the flushes they stand for were
+    (lossless, unobserved, unarmed): subscribers see only what comes
+    after, and tables and energy match a run whose reads flushed."""
     def run(flush_first):
         sim, net, _ = build_network("batched", 4, n_nodes=30, mobile=True)
         heard = []
@@ -871,14 +887,20 @@ def test_row_read_settles_only_its_row(monkeypatch):
 
 # -- delivery order and first charges ----------------------------------------
 
-def run_heard(kernel, seed):
+def run_heard(kernel, seed, loss=0.0, sigma=0.0, charges=False):
     """Every ``(receiver, sender, t)`` a ``beacon`` subscriber is told,
     in order, over a mobile field with Poisson crashes and recoveries,
-    mid-interval reads and a table wipe."""
+    mid-interval reads and a table wipe; with ``charges``, also every
+    ``(node, kind, cost)`` a ``beacon_charge`` subscriber is told, in
+    order."""
     n = 40
-    sim, net, driver = build_network(kernel, seed, n_nodes=n, mobile=True)
-    heard = []
+    sim, net, driver = build_network(kernel, seed, n_nodes=n, mobile=True,
+                                     loss=loss, sigma=sigma)
+    heard, charged = [], []
     sim.probe.subscribe("beacon", lambda *pair: heard.append(pair))
+    if charges:
+        sim.probe.subscribe("beacon_charge",
+                            lambda *charge: charged.append(charge))
     plan = FaultPlan().extend(poisson_crashes(
         _rng(seed + 1000), range(n), rate=0.2, start=0.2, duration=3.0,
         downtime_s=0.5))
@@ -891,41 +913,51 @@ def run_heard(kernel, seed):
             net.nodes[nid].neighbors()
         net.nodes[int(rng.integers(0, n))].reset_neighbors()
     sim.run(until=4.0)
-    return heard
+    return heard, charged
+
+
+#: run_heard's channels: (loss, sigma, charges)
+_HEARD_CASES = ((0.0, 0.0, False), (0.0, 0.0, True), (0.2, 0.0, True),
+                (0.0, 0.4, True))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_beacon_subscribers_hear_fire_by_fire(seed, monkeypatch):
     """A ``beacon`` subscriber is told of deliveries fire by fire,
     receivers ascending, as one event per delivered frame would tell
-    it: on the dense store, on the sparse store (whose group records
-    are in store-key order) and in the reference model alike."""
-    reference = run_heard("reference", seed)
-    dense = run_heard("batched", seed)
-    monkeypatch.setattr(beacons, "_DENSE_MAX", 0)
-    sparse = run_heard("batched", seed)
-    assert reference, "nothing was delivered"
-    assert dense == reference
-    assert sparse == reference
+    it, and a ``beacon_charge`` subscriber of charges fire by fire, the
+    sender's tx and then each receiver's rx ascending: on the dense
+    store, on the sparse store (whose group records are in store-key
+    order) and in the reference model alike, over a lossless, a lossy
+    and a shadowed channel."""
+    for loss, sigma, charges in _HEARD_CASES:
+        case = f"loss={loss} sigma={sigma} charges={charges}"
+        reference = run_heard("reference", seed, loss, sigma, charges)
+        dense = run_heard("batched", seed, loss, sigma, charges)
+        with monkeypatch.context() as patch:
+            patch.setattr(beacons, "_DENSE_MAX", 0)
+            sparse = run_heard("batched", seed, loss, sigma, charges)
+        assert reference[0], f"{case}: nothing was delivered"
+        assert bool(reference[1]) == charges, case
+        assert dense == reference, case
+        assert sparse == reference, case
 
 
-def first_epoch_accounts(seed, sequential):
+def first_epoch_accounts(kernel, seed):
     """Beacon-part accounts after the first flushes of a field with dead
     and muted nodes: ids in creation order, each account's energy, and
-    the part's total.  ``sequential`` forces the sequential loop with a
-    ``beacon_charge`` subscriber."""
+    the part's total."""
     n = 40
-    sim, net, _ = build_network("batched", seed, n_nodes=n, mobile=True)
+    sim, net, driver = build_network(kernel, seed, n_nodes=n, mobile=True)
     rng = _rng(seed + 1200)
     for nid in rng.choice(n, size=5, replace=False).tolist():
         net.nodes[nid].alive = False
     net.mute_beacons(rng.choice(n, size=4, replace=False).tolist())
-    if sequential:
-        sim.probe.subscribe("beacon_charge", lambda *charge: None)
-    net.start_beacons()
+    driver.start_beacons()
     sim.run(until=0.26)
     net.nodes[int(rng.integers(0, n))].neighbors()
     sim.run(until=1.2)
+    net.flush_beacons()
     ledger = net.ledger
     accounts = ledger.accounts("beacon_charge")
     return ([(nid, a.tx_j, a.rx_j) for nid, a in accounts.items()],
@@ -934,14 +966,14 @@ def first_epoch_accounts(seed, sequential):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_first_flush_creates_accounts_in_charge_order(store, seed):
-    """Warm-up's first flushes take the fast path and create the
-    beacon-part accounts themselves: in the order the sequential loop
+    """Warm-up's first flushes bank their charges and create the
+    beacon-part accounts themselves: in the order one event per fire
     charges them (fire by fire, the sender, then its receivers
     ascending), so the part's account order and its float total are
-    bitwise those of a run forced down that loop."""
-    fast, total = first_epoch_accounts(seed, sequential=False)
-    slow, slow_total = first_epoch_accounts(seed, sequential=True)
-    assert [a[0] for a in fast] != sorted(a[0] for a in fast), \
+    bitwise those of the reference model."""
+    batched, total = first_epoch_accounts("batched", seed)
+    reference, ref_total = first_epoch_accounts("reference", seed)
+    assert [a[0] for a in batched] != sorted(a[0] for a in batched), \
         "creation order should not be id order"
-    assert fast == slow
-    assert total == slow_total
+    assert batched == reference
+    assert total == ref_total

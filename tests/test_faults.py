@@ -366,16 +366,23 @@ class TestBatchedBeaconFaultInterplay:
     def test_link_degradation_mid_epoch(self):
         """Time-windowed extra loss is evaluated at each fire's logical
         time (``loss_overlay_at``), not the flush time."""
-        def run(kernel):
-            sim, net, driver = self._build(kernel, seed=6)
-            plan = FaultPlan().degrade_links(at=0.87, duration_s=0.31,
-                                             extra_loss=0.6)
-            driver.start_beacons()
-            FaultInjector(sim, net, plan).install()
-            out = []
-            for t in (0.5, 1.0, 1.5, 3.0):
-                sim.run(until=t)
-                out.append(self._state(net))
-            return out
+        self._assert_equal(self._run_link_degradation)
 
-        self._assert_equal(run)
+    def test_link_degradation_mid_epoch_sparse(self, monkeypatch):
+        """The same on the sparse store: the draws follow (fire,
+        receiver) order, not the store-key order of its records."""
+        import repro.net.beacons as beacons
+        monkeypatch.setattr(beacons, "_DENSE_MAX", 0)
+        self._assert_equal(self._run_link_degradation)
+
+    def _run_link_degradation(self, kernel):
+        sim, net, driver = self._build(kernel, seed=6)
+        plan = FaultPlan().degrade_links(at=0.87, duration_s=0.31,
+                                         extra_loss=0.6)
+        driver.start_beacons()
+        FaultInjector(sim, net, plan).install()
+        out = []
+        for t in (0.5, 1.0, 1.5, 3.0):
+            sim.run(until=t)
+            out.append(self._state(net))
+        return out

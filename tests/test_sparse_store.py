@@ -407,8 +407,10 @@ class TestEngineSparseEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_under_shadowing_and_loss(self, force_sparse, seed):
-        """Exercises the non-fast scalar loop with cell-bucket receiver
-        candidates (max-range filter + per-link shadowing)."""
+        """Shadowing and loss are inputs to the sparse resolution: cell
+        buckets at the maximum range, each pair held to its own link
+        range, and loss drawn in (fire, receiver) order before the
+        store-key sort."""
         kw = dict(loss=0.2, sigma=2.0)
         sparse_state = None
         for phase in ("sparse", "dense", "reference"):
