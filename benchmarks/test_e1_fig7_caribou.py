@@ -7,7 +7,7 @@ observation that voids cause only a small accuracy degradation.
 
 import pytest
 
-from repro.core import DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.deploy import CaribouDeployment
 from repro.experiments import TraversalRecorder, render_svg
 from repro.geometry import Rect, Vec2
@@ -49,7 +49,8 @@ def run_caribou_query(seed=42):
     q_node = max(dense,
                  key=lambda n: n.position().distance_to(sink.position()))
     point = q_node.position()
-    query = KNNQuery(query_id=next_query_id(), sink_id=sink.id,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                     sink_id=sink.id,
                      point=point, k=K, issued_at=sim.now)
     recorder = TraversalRecorder(net, query_id=query.query_id)
     results = []

@@ -59,8 +59,7 @@ def test_e16_window_query_recall(benchmark):
             SimulationConfig(seed=3, max_speed=speed), proto)
         handle.warm_up()
         window = Rect(40, 40, 80, 80)
-        query = WindowQuery.make(sink_id=handle.sink.id, window=window,
-                                 issued_at=handle.sim.now)
+        query = WindowQuery.make(handle.sim, handle.sink.id, window)
         results = []
         proto.issue(handle.sink, query, results.append)
         handle.sim.run(until=handle.sim.now + 30.0)
@@ -89,12 +88,13 @@ def test_e17_gauss_markov_robustness(benchmark):
     net.warm_up()
     proto = DIKNNProtocol()
     proto.install(net, GpsrRouter(net))
-    from repro.core import KNNQuery, next_query_id
+    from repro.core import KNNQuery, per_run_allocator
     from repro.metrics import pre_accuracy
     accs = []
     for i in range(3):
         results = []
-        query = KNNQuery(query_id=next_query_id(), sink_id=sink.id,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                         sink_id=sink.id,
                          point=Vec2(45 + 12 * i, 60), k=30,
                          issued_at=sim.now)
         proto.issue(sink, query, results.append)
@@ -157,10 +157,10 @@ def test_e19_aggregate_vs_enumerate(benchmark):
 
     _h, window_result, window_energy = run(
         WindowQueryProtocol,
-        lambda h: WindowQuery.make(h.sink.id, region, h.sim.now))
+        lambda h: WindowQuery.make(h.sim, h.sink.id, region))
     handle, agg_result, agg_energy = run(
         AggregateQueryProtocol,
-        lambda h: AggregateQuery.make(h.sink.id, region, h.sim.now))
+        lambda h: AggregateQuery.make(h.sim, h.sink.id, region))
     assert window_result is not None and agg_result is not None
     truth = true_aggregate(handle.network, region)
     print(f"\nE19: aggregate count {agg_result.state.count} "

@@ -13,7 +13,7 @@ Run:  python examples/caribou_visualization.py
 
 import os
 
-from repro import DIKNNProtocol, KNNQuery, Vec2, next_query_id
+from repro import DIKNNProtocol, KNNQuery, Vec2, per_run_allocator
 from repro.deploy import CaribouDeployment
 from repro.experiments import TraversalRecorder, render_svg, save_svg
 from repro.geometry import Rect
@@ -48,7 +48,8 @@ def main() -> None:
     dense = by_degree[:len(by_degree) // 4]
     point = max(dense, key=lambda n: n.position()
                 .distance_to(sink.position())).position()
-    query = KNNQuery(query_id=next_query_id(), sink_id=sink.id,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                     sink_id=sink.id,
                      point=point, k=K, issued_at=sim.now)
     recorder = TraversalRecorder(net, query_id=query.query_id)
     results = []

@@ -34,7 +34,7 @@ def run(protocol_cls, query_factory):
 def main() -> None:
     handle, window_result, window_energy = run(
         WindowQueryProtocol,
-        lambda h: WindowQuery.make(h.sink.id, REGION, h.sim.now))
+        lambda h: WindowQuery.make(h.sim, h.sink.id, REGION))
     print("window query  (enumerate every node):")
     if window_result is not None:
         print(f"  reported {len(window_result.node_ids())} nodes, "
@@ -44,7 +44,7 @@ def main() -> None:
 
     handle, agg_result, agg_energy = run(
         AggregateQueryProtocol,
-        lambda h: AggregateQuery.make(h.sink.id, REGION, h.sim.now))
+        lambda h: AggregateQuery.make(h.sim, h.sink.id, REGION))
     print("aggregate query (constant-size token):")
     if agg_result is not None:
         truth = true_aggregate(handle.network, REGION)

@@ -20,7 +20,7 @@ Quickstart::
 from .baselines import (FloodingConfig, FloodingProtocol, KPTConfig,
                         KPTProtocol, PeerTreeConfig, PeerTreeProtocol)
 from .core import (DIKNNConfig, DIKNNProtocol, KNNQuery, QueryIdAllocator,
-                   QueryProtocol, QueryResult, knnb_radius, next_query_id,
+                   QueryProtocol, QueryResult, knnb_radius,
                    per_run_allocator)
 from .experiments import (SimulationConfig, SimulationHandle,
                           build_simulation, defaults_table, fig8_sweep,
@@ -46,7 +46,7 @@ __all__ = [
     "FloodingConfig", "FloodingProtocol", "KPTConfig", "KPTProtocol",
     "PeerTreeConfig", "PeerTreeProtocol", "DIKNNConfig", "DIKNNProtocol",
     "KNNQuery", "QueryIdAllocator", "QueryProtocol", "QueryResult",
-    "knnb_radius", "next_query_id", "per_run_allocator",
+    "knnb_radius", "per_run_allocator",
     "SimulationConfig", "SimulationHandle",
     "build_simulation", "defaults_table", "fig8_sweep", "fig9_sweep",
     "resilience_sweep", "FaultInjector", "FaultPlan",

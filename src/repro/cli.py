@@ -189,8 +189,7 @@ def cmd_window(args) -> int:
     handle = build_simulation(_config(args), proto)
     handle.warm_up()
     window = Rect(args.x, args.y, args.x + args.w, args.y + args.h)
-    query = WindowQuery.make(sink_id=handle.sink.id, window=window,
-                             issued_at=handle.sim.now)
+    query = WindowQuery.make(handle.sim, handle.sink.id, window)
     results = []
     proto.issue(handle.sink, query, results.append)
     handle.sim.run(until=handle.sim.now + args.timeout)

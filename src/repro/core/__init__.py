@@ -18,11 +18,11 @@ from .itinerary import (SectorItinerary, adj_segments_length,
 from .knnb import (InfoList, conservative_radius, count_new_neighbors,
                    knnb_radius, optimal_radius)
 from .query import (Candidate, KNNQuery, QueryIdAllocator, QueryResult,
-                    merge_candidates, next_query_id, per_run_allocator)
+                    merge_candidates, per_run_allocator)
 from .rendezvous import (BoundaryDecision, SectorStats, evaluate_boundary,
                          merge_stats)
-from .window import (WindowQuery, WindowQueryProtocol, WindowResult,
-                     build_serpentine_itinerary, nodes_in_window,
+from .region import WindowQuery, build_serpentine_itinerary
+from .window import (WindowQueryProtocol, WindowResult, nodes_in_window,
                      window_recall)
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "full_coverage_width", "init_segment_length", "peri_segments_length",
     "InfoList", "conservative_radius", "count_new_neighbors", "knnb_radius",
     "optimal_radius", "Candidate", "KNNQuery", "QueryResult",
-    "merge_candidates", "next_query_id", "QueryIdAllocator",
+    "merge_candidates", "QueryIdAllocator",
     "per_run_allocator", "BoundaryDecision", "SectorStats",
     "evaluate_boundary", "merge_stats",
 ]

@@ -5,25 +5,20 @@ many sensors are in this area" or "what is the mean reading there", the
 itinerary token carries only a constant-size aggregate state
 (count / sum / min / max), updated at each Q-node from the collected
 D-node replies.  The result message is a few bytes no matter how large
-the region — the classic argument for in-network aggregation, realized
-on the same serpentine-itinerary machinery as the window queries.
+the region — the classic argument for in-network aggregation.  The
+traversal is :class:`~repro.core.region.RegionQueryProtocol`'s, the same
+serpentine itinerary the window queries walk; this module is its
+folding reducer.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Optional
 
-from ..geometry import Rect, Vec2
-from ..net.messages import Message
+from ..geometry import Rect
 from ..net.node import SensorNode
-from .collection import CollectionPlan, reply_delay
-from .dissemination import choose_next_qnode
-from .itinerary import full_coverage_width
-from .window import build_serpentine_itinerary
-
-_agg_ids = itertools.count(1)
+from .region import RegionQueryProtocol, WindowQuery
 
 
 @dataclass
@@ -60,21 +55,8 @@ class AggregateState:
     WIRE_BYTES = 14  # count(2) + three float readings(4 each)
 
 
-@dataclass(frozen=True)
-class AggregateQuery:
-    """Aggregate the readings of all nodes inside ``window``."""
-
-    query_id: int
-    sink_id: int
-    window: Rect
-    issued_at: float
-
-    @staticmethod
-    def make(sink_id: int, window: Rect,
-             issued_at: float) -> "AggregateQuery":
-        return AggregateQuery(query_id=next(_agg_ids) + 20_000_000,
-                              sink_id=sink_id, window=window,
-                              issued_at=issued_at)
+#: an aggregate query names its region exactly as a window query does
+AggregateQuery = WindowQuery
 
 
 @dataclass
@@ -104,23 +86,11 @@ def true_aggregate(network, window: Rect,
     return state
 
 
-class _AggSession:
-    __slots__ = ("node_id", "query_id", "plan", "replies", "token",
-                 "deadline")
-
-    def __init__(self, node_id, query_id, plan, token):
-        self.node_id = node_id
-        self.query_id = query_id
-        self.plan = plan
-        self.token = token
-        self.replies = []
-        self.deadline = None
-
-
-class AggregateQueryProtocol:
+class AggregateQueryProtocol(RegionQueryProtocol):
     """Serpentine-itinerary aggregation over a rectangular region."""
 
     name = "aggregate"
+    result_type = AggregateResult
 
     KIND_QUERY = "agg.query"
     KIND_TOKEN = "agg.token"
@@ -128,221 +98,26 @@ class AggregateQueryProtocol:
     KIND_DATA = "agg.data"
     KIND_RESULT = "agg.result"
 
-    MAX_ROUTE_RETRIES = 2
-    RETRY_PAUSE_S = 0.25
-    TOKEN_BASE_BYTES = 24
+    def _start(self) -> dict:
+        return {"agg": AggregateState().to_wire()}
 
-    def __init__(self, width: Optional[float] = None,
-                 spacing_factor: float = 0.8,
-                 time_unit_s: float = 0.018, max_detours: int = 4):
-        self.network = None
-        self.router = None
-        self.width = width
-        self.spacing_factor = spacing_factor
-        self.time_unit_s = time_unit_s
-        self.max_detours = max_detours
-        self._pending: Dict[int, AggregateResult] = {}
-        self._callbacks: Dict[int, object] = {}
-        self._responded: Dict[int, Set[int]] = {}
-        self._sessions: Dict[int, _AggSession] = {}
-        self._homes_seen: Set[int] = set()
+    def _add_self(self, node: SensorNode, token: dict) -> None:
+        self._fold(token, [node.reading])
 
-    # -- lifecycle -----------------------------------------------------------
+    def _reply(self, node: SensorNode):
+        return node.reading, 6
 
-    def install(self, network, router) -> None:
-        self.network = network
-        self.router = router
-        router.on_deliver(self.KIND_QUERY, self._on_query_delivered)
-        router.on_deliver(self.KIND_RESULT, self._on_result)
-        network.register_handler(self.KIND_TOKEN, self._on_token)
-        network.register_handler(self.KIND_PROBE, self._on_probe)
-        network.register_handler(self.KIND_DATA, self._on_data)
-
-    def setup(self) -> None:
-        """Infrastructure-free."""
-
-    @property
-    def _width(self) -> float:
-        if self.width is not None:
-            return self.width
-        return full_coverage_width(self.network.radio.range_m)
-
-    # -- issue -----------------------------------------------------------------
-
-    def issue(self, sink: SensorNode, query: AggregateQuery,
-              on_complete) -> None:
-        self._pending[query.query_id] = AggregateResult(query=query)
-        self._callbacks[query.query_id] = on_complete
-        self._route_query(sink, query, attempt=0)
-
-    def abandon(self, query_id: int) -> Optional[AggregateResult]:
-        self._callbacks.pop(query_id, None)
-        return self._pending.pop(query_id, None)
-
-    def _route_query(self, sink: SensorNode, query: AggregateQuery,
-                     attempt: int) -> None:
-        w = query.window
-        payload = {"query_id": query.query_id,
-                   "window": (w.x_min, w.y_min, w.x_max, w.y_max),
-                   "sink_id": sink.id,
-                   "sink_pos": (sink.position().x, sink.position().y)}
-
-        def _on_drop(_inner, _node) -> None:
-            if attempt >= self.MAX_ROUTE_RETRIES or not sink.alive:
-                return
-            self.network.sim.schedule_in(
-                self.RETRY_PAUSE_S,
-                lambda: self._route_query(sink, query, attempt + 1))
-
-        self.router.send(sink, w.center(), self.KIND_QUERY, payload, 20,
-                         on_drop=_on_drop)
-
-    # -- traversal ---------------------------------------------------------------
-
-    def _on_query_delivered(self, node: SensorNode, inner: dict) -> None:
-        if inner["query_id"] in self._homes_seen:
-            return
-        self._homes_seen.add(inner["query_id"])
-        token = {"query_id": inner["query_id"],
-                 "window": inner["window"],
-                 "sink_id": inner["sink_id"],
-                 "sink_pos": inner["sink_pos"],
-                 "wp_idx": 0, "agg": AggregateState().to_wire(),
-                 "visited": [], "voids": 0, "detours": 0}
-        self._become_qnode(node, token)
-
-    def _become_qnode(self, node: SensorNode, token: dict) -> None:
-        query_id = token["query_id"]
-        token["visited"] = (token["visited"] + [node.id])[-24:]
-        window = Rect(*token["window"])
+    def _fold(self, token: dict, replies: list) -> None:
         agg = AggregateState.from_wire(token["agg"])
-        if query_id not in self._responded.get(node.id, set()) and \
-                window.contains(node.position()):
-            self._responded.setdefault(node.id, set()).add(query_id)
-            agg.add(node.reading)
+        for reading in replies:
+            agg.add(float(reading))
         token["agg"] = agg.to_wire()
-        entries = node.neighbors()
-        expected = sum(1 for e in entries if window.contains(e.position))
-        ref = ((window.center() - node.position()).angle()
-               if window.center() != node.position() else 0.0)
-        plan = CollectionPlan(reference_angle=ref,
-                              expected_responders=expected,
-                              time_unit_s=self.time_unit_s)
-        session = _AggSession(node.id, query_id, plan, token)
-        self._sessions[query_id] = session
-        pos = node.position()
-        node.broadcast(self.KIND_PROBE, {
-            "query_id": query_id, "qnode": node.id,
-            "qnode_pos": (pos.x, pos.y), "window": token["window"],
-            "ref_angle": ref, "expected": expected,
-            "m": self.time_unit_s}, 24)
-        session.deadline = self.network.sim.schedule_in(
-            plan.window_s, lambda: self._advance(node, session))
 
-    def _on_probe(self, node: SensorNode, message: Message) -> None:
-        p = message.payload
-        if node.id == p["qnode"]:
-            return
-        query_id = p["query_id"]
-        if query_id in self._responded.get(node.id, set()):
-            return
-        pos = node.position()
-        if not Rect(*p["window"]).contains(pos):
-            return
-        self._responded.setdefault(node.id, set()).add(query_id)
-        delay = reply_delay(p["ref_angle"], p["expected"], p["m"],
-                            Vec2(*p["qnode_pos"]), pos)
-        qnode = p["qnode"]
+    def _token_bytes(self, token: dict) -> int:
+        return 24 + AggregateState.WIRE_BYTES
 
-        def _reply() -> None:
-            if node.alive:
-                node.send(qnode, self.KIND_DATA,
-                          {"query_id": query_id,
-                           "reading": node.reading}, 6)
+    def _answer(self, token: dict):
+        return token["agg"], 16 + AggregateState.WIRE_BYTES
 
-        self.network.sim.schedule_in(delay, _reply)
-
-    def _on_data(self, node: SensorNode, message: Message) -> None:
-        p = message.payload
-        session = self._sessions.get(p["query_id"])
-        if session is None or session.node_id != node.id:
-            return
-        session.replies.append(float(p["reading"]))
-
-    def _advance(self, node: SensorNode, session: _AggSession) -> None:
-        if self._sessions.get(session.query_id) is not session:
-            return
-        del self._sessions[session.query_id]
-        if not node.alive:
-            return
-        token = session.token
-        agg = AggregateState.from_wire(token["agg"])
-        for reading in session.replies:
-            agg.add(reading)
-        token["agg"] = agg.to_wire()
-        waypoints = build_serpentine_itinerary(
-            Rect(*token["window"]), self._width,
-            self.spacing_factor * self.network.radio.range_m)
-        hop = choose_next_qnode(node.position(), node.neighbors(),
-                                waypoints, token["wp_idx"], self._width,
-                                token["visited"],
-                                max_reach=0.9 * self.network.radio.range_m)
-        token["wp_idx"] = hop.waypoint_index
-        if hop.void_detour:
-            token["voids"] += 1
-            token["detours"] += 1
-        else:
-            token["detours"] = 0
-        if hop.node_id is None or token["detours"] > self.max_detours:
-            self._finish(node, token)
-            return
-
-        def _on_fail(_msg: Message) -> None:
-            node.forget_neighbor(hop.node_id)
-            retry = choose_next_qnode(node.position(), node.neighbors(),
-                                      waypoints, token["wp_idx"],
-                                      self._width, token["visited"])
-            if retry.node_id is None:
-                self._finish(node, token)
-            else:
-                node.send(retry.node_id, self.KIND_TOKEN, dict(token),
-                          self.TOKEN_BASE_BYTES
-                          + AggregateState.WIRE_BYTES)
-
-        node.send(hop.node_id, self.KIND_TOKEN, dict(token),
-                  self.TOKEN_BASE_BYTES + AggregateState.WIRE_BYTES,
-                  on_fail=_on_fail)
-
-    def _on_token(self, node: SensorNode, message: Message) -> None:
-        self._become_qnode(node, dict(message.payload))
-
-    # -- results ------------------------------------------------------------------
-
-    def _finish(self, node: SensorNode, token: dict,
-                attempt: int = 0) -> None:
-        payload = {"query_id": token["query_id"], "agg": token["agg"],
-                   "voids": token["voids"]}
-
-        def _on_drop(_inner, drop_node) -> None:
-            if attempt >= self.MAX_ROUTE_RETRIES:
-                return
-            origin = drop_node if drop_node is not None else node
-            if origin.alive:
-                self.network.sim.schedule_in(
-                    self.RETRY_PAUSE_S,
-                    lambda: self._finish(origin, token, attempt + 1))
-
-        self.router.send(node, Vec2(*token["sink_pos"]), self.KIND_RESULT,
-                         payload, 16 + AggregateState.WIRE_BYTES,
-                         dst_id=token["sink_id"], on_drop=_on_drop)
-
-    def _on_result(self, node: SensorNode, inner: dict) -> None:
-        result = self._pending.pop(inner["query_id"], None)
-        callback = self._callbacks.pop(inner["query_id"], None)
-        if result is None:
-            return
-        result.state = AggregateState.from_wire(inner["agg"])
-        result.voids = inner["voids"]
-        result.completed_at = self.network.sim.now
-        if callback is not None:
-            callback(result)
+    def _decode(self, result: AggregateResult, answer) -> None:
+        result.state = AggregateState.from_wire(answer)

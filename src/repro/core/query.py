@@ -44,27 +44,14 @@ _SIM_ALLOCATOR_ATTR = "_query_id_allocator"
 
 def per_run_allocator(sim) -> QueryIdAllocator:
     """The :class:`QueryIdAllocator` of one ``Simulator``, created on
-    first use.  All run paths (experiment runner, continuous monitors,
-    the query service) allocate through this, so two runs in one process
-    produce identical id sequences."""
+    first use.  Every query id is allocated through this (experiment
+    runner, continuous monitors, the query service, region queries), so
+    two runs in one process produce identical id sequences."""
     alloc = getattr(sim, _SIM_ALLOCATOR_ATTR, None)
     if alloc is None:
         alloc = QueryIdAllocator()
         setattr(sim, _SIM_ALLOCATOR_ATTR, alloc)
     return alloc
-
-
-_query_ids = itertools.count(1)
-
-
-def next_query_id() -> int:
-    """Process-globally unique query identifier.
-
-    Kept for ad-hoc construction (tests, REPL experiments) where no
-    simulator scope exists; run paths use :func:`per_run_allocator`
-    instead, which restarts at 1 per simulation.
-    """
-    return next(_query_ids)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ class CellBuckets:
         a table lookup, or binary searches when there is no table."""
         if self._cell_start is None:
             return np.searchsorted(self.sorted_keys, keys, side="left")
-        return self._cell_start[np.clip(keys, 0, self._cell_start.size - 1)]
+        return self._cell_start[
+            np.minimum(np.maximum(keys, 0), self._cell_start.size - 1)]
 
     def _query_strips(self, qx: np.ndarray,
                       qy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,8 +99,8 @@ class CellBuckets:
         qix = np.floor_divide(qx, self.cell_size).astype(np.int64) - self._ix0
         qiy = np.floor_divide(qy, self.cell_size).astype(np.int64) - self._iy0
         col = (qix[:, None] + _COLUMN_OFFSETS[None, :]) * self._stride
-        lo = col + np.clip(qiy - 1, 0, self._stride)[:, None]
-        hi = col + np.clip(qiy + 2, 0, self._stride)[:, None]
+        lo = col + np.minimum(np.maximum(qiy - 1, 0), self._stride)[:, None]
+        hi = col + np.minimum(np.maximum(qiy + 2, 0), self._stride)[:, None]
         return lo, hi
 
     def candidate_slots(self, qx: np.ndarray,

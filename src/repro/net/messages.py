@@ -8,13 +8,10 @@ when computing airtime and energy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 BROADCAST = -1
-
-_msg_ids = itertools.count(1)
 
 
 @dataclass
@@ -26,7 +23,6 @@ class Message:
     dst: int  # node id, or BROADCAST
     size_bytes: int
     payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
     hops: int = 0
     created_at: Optional[float] = None
 

@@ -596,7 +596,7 @@ def replay_seed_query(seed: int, k: int, qx: float, qy: float,
     """
     import numpy as np
 
-    from ..core import DIKNNProtocol, KNNQuery, next_query_id
+    from ..core import DIKNNProtocol, KNNQuery, per_run_allocator
     from ..deploy import UniformDeployment
     from ..geometry import Rect, Vec2
     from ..mobility import StaticMobility
@@ -620,7 +620,7 @@ def replay_seed_query(seed: int, k: int, qx: float, qy: float,
     telemetry = Telemetry(profile_kernel=False, trace_events=False)
     telemetry.attach(sim, net, protocol=proto, router=router)
 
-    query = KNNQuery(query_id=next_query_id(), sink_id=0,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                      point=Vec2(qx, qy), k=k, issued_at=sim.now)
     results: List[object] = []
     proto.issue(net.nodes[0], query, results.append)

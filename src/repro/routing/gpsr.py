@@ -32,8 +32,6 @@ from ..net.network import Network
 from ..net.node import SensorNode
 from .base import DeliveryFn, DropFn, HopFn, Router
 
-_route_ids = itertools.count(1)
-
 _GREEDY = 0
 _PERIMETER = 1
 
@@ -69,6 +67,7 @@ class GpsrRouter(Router):
         self.drops = 0
         self.drop_reasons: Dict[str, int] = {}
         self.deliveries = 0
+        self._route_ids = itertools.count(1)
         # Hop forwards, link retries, mode flips, deliveries and drops go
         # out on the probe's ``route`` channel.
         self._probe = network.sim.probe
@@ -94,7 +93,7 @@ class GpsrRouter(Router):
              dst_id: Optional[int] = None,
              on_drop: Optional[DropFn] = None,
              ttl: Optional[int] = None) -> None:
-        route_id = next(_route_ids)
+        route_id = next(self._route_ids)
         if on_drop is not None:
             self._drop_handlers[route_id] = on_drop
         wrapped = {

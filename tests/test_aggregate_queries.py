@@ -11,8 +11,7 @@ from tests.conftest import build_mobile_network, build_static_network
 
 
 def run_aggregate(sim, net, proto, sink, window, timeout=30.0):
-    query = AggregateQuery.make(sink_id=sink.id, window=window,
-                                issued_at=sim.now)
+    query = AggregateQuery.make(sim, sink.id, window)
     results = []
     proto.issue(sink, query, results.append)
     sim.run(until=sim.now + timeout)
@@ -110,9 +109,7 @@ class TestAggregateProtocol:
     def test_abandon(self):
         sim, net = build_static_network(seed=3)
         proto = install(net)
-        query = AggregateQuery.make(sink_id=0,
-                                    window=Rect(40, 40, 80, 80),
-                                    issued_at=sim.now)
+        query = AggregateQuery.make(sim, 0, Rect(40, 40, 80, 80))
         proto.issue(net.nodes[0], query, lambda r: pytest.fail("late"))
         partial = proto.abandon(query.query_id)
         assert partial is not None

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import (FloodingProtocol, KPTConfig, KPTProtocol,
                              PeerTreeConfig, PeerTreeProtocol)
-from repro.core import KNNQuery, next_query_id
+from repro.core import KNNQuery, per_run_allocator
 from repro.geometry import Rect, Vec2
 from repro.metrics import pre_accuracy
 from repro.routing import GpsrRouter
@@ -14,7 +14,8 @@ from tests.conftest import FIELD, build_mobile_network, build_static_network
 
 
 def run_one(sim, proto, sink, point, k, timeout=15.0):
-    query = KNNQuery(query_id=next_query_id(), sink_id=sink.id,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                     sink_id=sink.id,
                      point=point, k=k, issued_at=sim.now)
     results = []
     proto.issue(sink, query, results.append)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.geometry import Rect, Vec2
 from repro.mobility import GaussMarkovMobility
 from repro.net import EnergyLedger, EnergyModel
@@ -84,7 +84,7 @@ class TestNetworkBatteries:
         proto = DIKNNProtocol()
         proto.install(net, GpsrRouter(net))
         results = []
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(60, 60), k=10, issued_at=sim.now)
         proto.issue(net.nodes[0], query, results.append)
         sim.run(until=sim.now + 15)
@@ -101,7 +101,7 @@ class TestNetworkBatteries:
         proto = DIKNNProtocol()
         proto.install(net, GpsrRouter(net))
         results = []
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(60, 60), k=10, issued_at=sim.now + 2)
         sim.run(until=sim.now + 2)  # let tables forget the victim
         proto.issue(net.nodes[0], query, results.append)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (Candidate, KNNQuery, QueryIdAllocator, QueryResult,
-                        merge_candidates, next_query_id, per_run_allocator)
+                        merge_candidates, per_run_allocator)
 from repro.geometry import Vec2
 from repro.sim import QueryError, Simulator
 
@@ -29,10 +29,6 @@ class TestKNNQuery:
         with pytest.raises(QueryError):
             KNNQuery(query_id=1, sink_id=0, point=Vec2(0, 0), k=1,
                      issued_at=0.0, assurance_gain=1.5)
-
-    def test_query_ids_unique(self):
-        ids = {next_query_id() for _ in range(100)}
-        assert len(ids) == 100
 
 
 class TestQueryIdAllocator:
@@ -66,7 +62,7 @@ class TestQueryIdAllocator:
 
 class TestQueryResult:
     def make(self, k=3):
-        q = KNNQuery(query_id=next_query_id(), sink_id=0,
+        q = KNNQuery(query_id=1, sink_id=0,
                      point=Vec2(0, 0), k=k, issued_at=10.0)
         return QueryResult(query=q)
 

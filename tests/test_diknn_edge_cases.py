@@ -8,7 +8,7 @@ for unknown queries, stale rendezvous gossip.
 import pytest
 
 from repro.core import (DIKNNConfig, DIKNNProtocol, KNNQuery, TokenState,
-                        next_query_id)
+                        per_run_allocator)
 from repro.geometry import Vec2
 from repro.net.messages import Message
 from repro.routing import GpsrRouter
@@ -24,7 +24,8 @@ def install(net, config=None):
 
 def make_token(net, query_id=None, sector=0, k=10):
     return TokenState(
-        query_id=query_id if query_id is not None else next_query_id(),
+        query_id=(query_id if query_id is not None
+                  else per_run_allocator(net.sim).allocate()),
         sink_id=0, sink_pos=net.nodes[0].position(),
         point=Vec2(60, 60), k=k, assurance_gain=0.1, sectors_total=8,
         sector=sector, width=17.32, spacing=16.0, inverted=False,
@@ -60,7 +61,7 @@ class TestHandlerRobustness:
     def test_result_for_abandoned_query_is_dropped(self):
         sim, net = build_static_network(seed=3)
         proto = install(net)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(60, 60), k=10, issued_at=sim.now)
         proto.issue(net.nodes[0], query, lambda r: pytest.fail("late"))
         proto.abandon(query.query_id)

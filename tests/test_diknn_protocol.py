@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (DIKNNConfig, DIKNNProtocol, KNNQuery,
-                        near_sector_border, next_query_id, sector_of)
+                        near_sector_border, per_run_allocator, sector_of)
 from repro.geometry import Vec2
 from repro.metrics import post_accuracy, pre_accuracy, true_knn
 from repro.routing import GpsrRouter
@@ -12,7 +12,8 @@ from tests.conftest import build_mobile_network, build_static_network
 
 
 def run_one(sim, net, proto, sink, point, k, timeout=15.0, g=0.1):
-    query = KNNQuery(query_id=next_query_id(), sink_id=sink.id,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                     sink_id=sink.id,
                      point=point, k=k, issued_at=sim.now,
                      assurance_gain=g)
     results = []
@@ -189,7 +190,7 @@ class TestQueryBookkeeping:
         sim, net = build_static_network(seed=3)
         proto, _ = install(net)
         calls = []
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(70, 70), k=10, issued_at=sim.now)
         proto.issue(net.nodes[0], query, lambda r: calls.append(r))
         sim.run(until=sim.now + 15)
@@ -198,7 +199,7 @@ class TestQueryBookkeeping:
     def test_abandon_returns_partial(self):
         sim, net = build_static_network(seed=3)
         proto, _ = install(net)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(70, 70), k=10, issued_at=sim.now)
         proto.issue(net.nodes[0], query, lambda r: None)
         sim.run(until=sim.now + 0.3)  # mid-flight
@@ -214,7 +215,7 @@ class TestQueryBookkeeping:
         partial result already handed to the caller."""
         sim, net = build_static_network(seed=3)
         proto, _ = install(net)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(70, 70), k=10, issued_at=sim.now)
         proto.issue(net.nodes[0], query, lambda r: None)
         # Intercept bundle deliveries so we can replay one late.
@@ -242,7 +243,7 @@ class TestQueryBookkeeping:
         sim, net = build_static_network(seed=3)
         proto, _ = install(net)
         bundles = []
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(70, 70), k=10, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -268,7 +269,8 @@ class TestQueryBookkeeping:
         proto, _ = install(net)
         results = {}
         for i, point in enumerate((Vec2(40, 40), Vec2(80, 80))):
-            query = KNNQuery(query_id=next_query_id(), sink_id=i,
+            query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                             sink_id=i,
                              point=point, k=15, issued_at=sim.now)
             proto.issue(net.nodes[i], query,
                         lambda r, tag=i: results.setdefault(tag, r))

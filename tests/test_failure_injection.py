@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import KPTProtocol, PeerTreeProtocol
-from repro.core import DIKNNConfig, DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNConfig, DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.deploy import CaribouDeployment
 from repro.experiments import SimulationConfig, build_simulation, run_query
 from repro.geometry import Vec2
@@ -52,7 +52,7 @@ class TestNodeDeath:
         router = GpsrRouter(net)
         proto = DIKNNProtocol()
         proto.install(net, router)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(70, 70), k=15, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -70,7 +70,8 @@ class TestNodeDeath:
         proto.install(net, router)
         sim.run(until=sim.now + 1.5)  # let tables expire the dead
         live_sink = next(n for n in net.nodes.values() if n.alive)
-        query = KNNQuery(query_id=next_query_id(), sink_id=live_sink.id,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                         sink_id=live_sink.id,
                          point=Vec2(60, 60), k=10, issued_at=sim.now)
         results = []
         proto.issue(live_sink, query, results.append)
@@ -95,7 +96,7 @@ class TestSparseAndIrregularFields:
         cells = SimulationConfig().field.grid_cells(6, 6)
         empty = min(cells, key=lambda c: sum(
             1 for p in positions if c.contains(p)))
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=empty.center(), k=10, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -118,7 +119,7 @@ class TestSparseAndIrregularFields:
         net.warm_up()
         proto = DIKNNProtocol()
         proto.install(net, GpsrRouter(net))
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(540, 0), k=3, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -162,7 +163,8 @@ class TestKPTFailures:
                     killed.append(node.id)
 
         sim.schedule_in(0.15, kill_ring)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0, point=q,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                         sink_id=0, point=q,
                          k=15, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -198,7 +200,8 @@ class TestPeerTreeFailures:
                     killed.append(node.id)
 
         sim.schedule_in(0.15, kill_ring)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0, point=q,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                         sink_id=0, point=q,
                          k=15, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)

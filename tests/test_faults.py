@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DIKNNConfig, DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNConfig, DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.core.diknn import sector_of
 from repro.experiments import (SimulationConfig, build_simulation,
                                resilience_sweep, run_query)
@@ -186,7 +186,8 @@ class TestDIKNNSelfHealing:
                     node.alive = False
 
         sim.schedule_in(0.15, kill_sector_two)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0, point=q,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                         sink_id=0, point=q,
                          k=20, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -211,7 +212,8 @@ class TestDIKNNSelfHealing:
                     node.alive = False
 
         sim.schedule_in(0.15, kill_sector_two)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0, point=q,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(),
+                         sink_id=0, point=q,
                          k=20, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -237,7 +239,7 @@ class TestDIKNNSelfHealing:
         sim, net = build_static_network(seed=3)
         proto = DIKNNProtocol()
         proto.install(net, GpsrRouter(net))
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(60, 60), k=10, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)

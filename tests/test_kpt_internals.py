@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import KPTConfig, KPTProtocol
 from repro.baselines.base import candidate_from_wire
-from repro.core import KNNQuery, next_query_id
+from repro.core import KNNQuery, per_run_allocator
 from repro.geometry import Vec2
 from repro.routing import GpsrRouter
 
@@ -50,7 +50,7 @@ class TestTreeMembership:
     def test_build_message_joins_in_boundary_nodes(self):
         sim, net = build_static_network(seed=5)
         proto = installed(net)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(60, 60), k=20, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)
@@ -68,7 +68,7 @@ class TestTreeMembership:
     def test_duplicate_home_delivery_ignored(self):
         sim, net = build_static_network(seed=5)
         proto = installed(net)
-        query = KNNQuery(query_id=next_query_id(), sink_id=0,
+        query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                          point=Vec2(60, 60), k=10, issued_at=sim.now)
         results = []
         proto.issue(net.nodes[0], query, results.append)

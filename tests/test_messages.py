@@ -4,11 +4,6 @@ from repro.net import BROADCAST, Message
 
 
 class TestMessage:
-    def test_ids_unique(self):
-        a = Message(kind="x", src=1, dst=2, size_bytes=4)
-        b = Message(kind="x", src=1, dst=2, size_bytes=4)
-        assert a.msg_id != b.msg_id
-
     def test_broadcast_flag(self):
         assert Message(kind="x", src=1, dst=BROADCAST,
                        size_bytes=1).is_broadcast
@@ -23,7 +18,6 @@ class TestMessage:
         assert fwd.hops == msg.hops + 1
         assert fwd.created_at == 3.5
         assert fwd.size_bytes == 9
-        assert fwd.msg_id != msg.msg_id
 
     def test_forwarded_copies_payload(self):
         msg = Message(kind="x", src=1, dst=2, size_bytes=9,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core import Candidate, KNNQuery, QueryResult, next_query_id
+from repro.core import Candidate, KNNQuery, QueryResult, per_run_allocator
 from repro.geometry import Vec2
 from repro.metrics import (QueryOutcome, RunMetrics, accuracy_against,
                            mean_ignoring_nan, post_accuracy, pre_accuracy,
@@ -51,7 +51,7 @@ class TestAccuracy:
         assert accuracy_against([1, 1, 2], [1, 2]) == 1.0
 
     def make_result(self, net, ids, k, issued=1.0, completed=2.0):
-        q = KNNQuery(query_id=next_query_id(), sink_id=0,
+        q = KNNQuery(query_id=per_run_allocator(net.sim).allocate(), sink_id=0,
                      point=Vec2(60, 60), k=k, issued_at=issued)
         result = QueryResult(query=q)
         for nid in ids:
@@ -89,7 +89,7 @@ class TestAccuracy:
 
 class TestRunMetrics:
     def outcome(self, completed=True, latency=1.0, pre=0.9, post=0.8):
-        return QueryOutcome(query_id=next_query_id(), k=10,
+        return QueryOutcome(query_id=1, k=10,
                             completed=completed, latency=latency,
                             pre_accuracy=pre, post_accuracy=post,
                             energy_j=0.01)

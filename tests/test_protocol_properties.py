@@ -15,7 +15,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.geometry import Vec2
 from repro.routing import GpsrRouter
 
@@ -30,7 +30,7 @@ def run_random_query(seed, k, qx, qy):
     sim, net = build_static_network(n=120, seed=seed)
     proto = DIKNNProtocol()
     proto.install(net, GpsrRouter(net))
-    query = KNNQuery(query_id=next_query_id(), sink_id=0,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                      point=Vec2(qx, qy), k=k, issued_at=sim.now)
     results = []
     energy_before = net.ledger.snapshot()

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core import next_query_id
 from repro.experiments import FIG8_K_VALUES, FIG9_SPEEDS, SimulationConfig
 from repro.experiments.series import SeriesPoint, SweepResult
 from repro.experiments.sweeps import _sweep
@@ -13,12 +12,12 @@ from repro.metrics import QueryOutcome, RunMetrics
 
 def run_metrics(protocol="p", latencies=(1.0, 2.0), energy=0.5,
                 pre=0.9, post=0.8, incomplete=0):
-    outcomes = [QueryOutcome(query_id=next_query_id(), k=10,
+    outcomes = [QueryOutcome(query_id=1, k=10,
                              completed=True, latency=lat,
                              pre_accuracy=pre, post_accuracy=post,
                              energy_j=0.0)
                 for lat in latencies]
-    outcomes += [QueryOutcome(query_id=next_query_id(), k=10,
+    outcomes += [QueryOutcome(query_id=1, k=10,
                               completed=False, latency=None,
                               pre_accuracy=0.0, post_accuracy=0.0,
                               energy_j=0.0)

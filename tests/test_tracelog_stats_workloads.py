@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.experiments import (HotspotWorkload, MovingTargetWorkload,
                                SimulationConfig, UniformWorkload,
                                run_workload)
@@ -26,7 +26,7 @@ def traced_query(seed=3, kinds=None):
     log = TraceLog(net, kinds=kinds)
     proto = DIKNNProtocol()
     proto.install(net, GpsrRouter(net))
-    query = KNNQuery(query_id=next_query_id(), sink_id=0,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                      point=Vec2(60, 60), k=15, issued_at=sim.now)
     proto.issue(net.nodes[0], query, lambda r: None)
     sim.run(until=sim.now + 10)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DIKNNProtocol, KNNQuery, next_query_id
+from repro.core import DIKNNProtocol, KNNQuery, per_run_allocator
 from repro.experiments import (TraversalRecorder, TraversalTrace,
                                render_svg, save_svg)
 from repro.geometry import Rect, Vec2
@@ -15,7 +15,7 @@ def record_traversal(seed=3, k=20):
     sim, net = build_static_network(seed=seed)
     proto = DIKNNProtocol()
     proto.install(net, GpsrRouter(net))
-    query = KNNQuery(query_id=next_query_id(), sink_id=0,
+    query = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                      point=Vec2(60, 60), k=k, issued_at=sim.now)
     recorder = TraversalRecorder(net, query_id=query.query_id)
     results = []
@@ -29,9 +29,9 @@ class TestTraversalRecorder:
         sim, net = build_static_network(seed=3)
         proto = DIKNNProtocol()
         proto.install(net, GpsrRouter(net))
-        q1 = KNNQuery(query_id=next_query_id(), sink_id=0,
+        q1 = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=0,
                       point=Vec2(40, 40), k=10, issued_at=sim.now)
-        q2 = KNNQuery(query_id=next_query_id(), sink_id=1,
+        q2 = KNNQuery(query_id=per_run_allocator(sim).allocate(), sink_id=1,
                       point=Vec2(80, 80), k=10, issued_at=sim.now)
         recorder = TraversalRecorder(net, query_id=q2.query_id)
         proto.issue(net.nodes[0], q1, lambda r: None)

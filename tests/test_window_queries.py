@@ -7,13 +7,13 @@ from repro.core import (WindowQuery, WindowQueryProtocol,
                         window_recall)
 from repro.geometry import Rect, Vec2, segment_point_distance
 from repro.routing import GpsrRouter
+from repro.sim import Simulator
 
 from tests.conftest import build_mobile_network, build_static_network
 
 
 def run_window(sim, net, proto, sink, window, timeout=25.0):
-    query = WindowQuery.make(sink_id=sink.id, window=window,
-                             issued_at=sim.now)
+    query = WindowQuery.make(sim, sink.id, window)
     results = []
     proto.issue(sink, query, results.append)
     sim.run(until=sim.now + timeout)
@@ -116,6 +116,7 @@ class TestWindowProtocol:
         assert len(result.candidates) <= 10 + 5  # cap applies per token
 
     def test_window_ids_unique(self):
-        a = WindowQuery.make(0, Rect(0, 0, 1, 1), 0.0)
-        b = WindowQuery.make(0, Rect(0, 0, 1, 1), 0.0)
+        sim = Simulator(seed=1)
+        a = WindowQuery.make(sim, 0, Rect(0, 0, 1, 1))
+        b = WindowQuery.make(sim, 0, Rect(0, 0, 1, 1))
         assert a.query_id != b.query_id
